@@ -9,55 +9,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import combin, hirota, qkz, tee
 from .report import VerifyReport
-from .ring import RingMatrix, TauPoly, det, det_cofactor, pluecker_check, tau_qnumber
+from .ring import EnumerationBudgetError, RingMatrix, TauPoly, det, det_cofactor, pluecker_check, tau_qnumber
 
-# documented per-suite budgets; requests beyond them exit with code 2
-BUDGETS = {
-    "psi_max_L": qkz.SOLVE_MAX_L,
-    "tee_max_L": 20,
-    "paths_max_L": 14,
-    "paths_max_p": 5,
-    "fpl_max_L": combin.FPL_MAX_L,
-    "vsasm_max_size": combin.VSASM_MAX_SIZE,
-    "asm_max_n": hirota.ASM_MAX_N,
-    "hirota_max_n": 12,
-    "sfactor_max_L": 64,
-    "verify_max_L": 12,
-    "lemma2_max_p": 4,
-}
-
-
-class BudgetExceeded(ValueError):
-    pass
-
-
-def _threads() -> int:
-    raw = os.environ.get("DYCKSUM_THREADS", "")
-    if raw:
-        n = int(raw)
-        if n < 1:
-            raise BudgetExceeded("DYCKSUM_THREADS must be positive")
-        return n
-    return os.cpu_count() or 1
-
-
-def _parallel_map(fn, items):
-    """Deterministic map: worker count from the environment, ordered results."""
-    items = list(items)
-    n = _threads()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+VERIFY_MAX_L = 12
+# nearest_int is printed only when the value's magnitude leaves this many
+# bits of --bits precision spare, so the rounding is exact
+NEAREST_INT_GUARD_BITS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +142,7 @@ def verify_lgv(Lmax: int) -> VerifyReport:
             for k in range(0, L - 2 * p + 1):
                 t = tee.tee(L, p, k)
                 ok = combin.lgv_tee(L, p, k) == t
-                if p <= BUDGETS["paths_max_p"] and L <= BUDGETS["paths_max_L"]:
+                if p <= combin.PATHS_MAX_P and L <= combin.PATHS_MAX_L:
                     ok = ok and combin.path_count(L, p, k) == t
                 rep.record(ok, {"L": L, "p": p, "k": k})
     return rep
@@ -286,7 +250,7 @@ SUITES = {
     "prop1": lambda max_L, seed: tee.verify_prop1(min(max_L, qkz.SOLVE_MAX_L)),
     "trecur": lambda max_L, seed: tee.verify_trecur(max_L),
     "lemma1": lambda max_L, seed: verify_lemma1(min(max_L, 8)),
-    "lemma2": lambda max_L, seed: tee.verify_lemma2(BUDGETS["lemma2_max_p"]),
+    "lemma2": lambda max_L, seed: tee.verify_lemma2(4),
     "lemma3": lambda max_L, seed: tee.verify_lemma3(max_L),
     "hirota": lambda max_L, seed: verify_hirota_suite(seed),
     "hirota-tee": lambda max_L, seed: hirota.verify_hirota_on_tee(max_L),
@@ -301,8 +265,7 @@ SUITES = {
 
 def verify_all(max_L: int, seed: int) -> list[VerifyReport]:
     """Run every suite; deterministic for a fixed seed."""
-    names = sorted(SUITES)
-    return _parallel_map(lambda name: _run_suite(name, max_L, seed), names)
+    return [_run_suite(name, max_L, seed) for name in sorted(SUITES)]
 
 
 def _run_suite(name: str, max_L: int, seed: int) -> VerifyReport:
@@ -361,8 +324,6 @@ def _parse_matrix(path: str) -> tuple[list[list[Fraction]], int]:
 
 
 def _cmd_psi(args) -> dict:
-    if args.L > BUDGETS["psi_max_L"]:
-        raise BudgetExceeded(f"psi budgeted to L <= {BUDGETS['psi_max_L']}")
     psi = qkz.solve_psi(args.L)
     return {
         "L": args.L,
@@ -371,8 +332,6 @@ def _cmd_psi(args) -> dict:
 
 
 def _cmd_sums(args) -> dict:
-    if args.L > BUDGETS["psi_max_L"]:
-        raise BudgetExceeded(f"sums budgeted to L <= {BUDGETS['psi_max_L']}")
     if args.t is not None:
         value = qkz.partial_sum_eps(args.L, args.p, args.t)
         out = {"L": args.L, "p": args.p, "t": args.t}
@@ -384,8 +343,6 @@ def _cmd_sums(args) -> dict:
 
 
 def _cmd_tee(args) -> dict:
-    if args.L > BUDGETS["tee_max_L"]:
-        raise BudgetExceeded(f"tee budgeted to L <= {BUDGETS['tee_max_L']}")
     fn = tee.tee_via_U if args.via_u else tee.tee
     value = fn(args.L, args.p, args.k)
     out = {"L": args.L, "p": args.p, "k": args.k, "via_u": bool(args.via_u)}
@@ -395,8 +352,6 @@ def _cmd_tee(args) -> dict:
 
 def _cmd_hirota(args) -> dict:
     matrix, n = _parse_matrix(args.input)
-    if n > BUDGETS["hirota_max_n"]:
-        raise BudgetExceeded(f"hirota budgeted to n <= {BUDGETS['hirota_max_n']}")
     tau2 = _parse_rational(args.tau2)
     try:
         value = hirota.tau2_det(matrix, tau2)
@@ -407,8 +362,6 @@ def _cmd_hirota(args) -> dict:
 
 def _cmd_lgv(args) -> dict:
     if args.method == "paths":
-        if args.p > BUDGETS["paths_max_p"] or args.L > BUDGETS["paths_max_L"]:
-            raise BudgetExceeded("path enumeration budget exceeded")
         value = combin.path_count(args.L, args.p, args.k)
     else:
         value = combin.lgv_tee(args.L, args.p, args.k)
@@ -419,20 +372,14 @@ def _cmd_lgv(args) -> dict:
 
 def _cmd_asm(args) -> dict:
     if args.klass == "vsasm":
-        if args.size > BUDGETS["vsasm_max_size"]:
-            raise BudgetExceeded(f"vsasm budgeted to size <= {BUDGETS['vsasm_max_size']}")
         members = combin.enumerate_vsasm(args.size)
         gen = combin.vsasm_genfun(args.size)
         return {"size": args.size, "class": "vsasm", "count": len(members), **gen.to_json()}
-    if args.size > BUDGETS["asm_max_n"]:
-        raise BudgetExceeded(f"asm budgeted to n <= {BUDGETS['asm_max_n']}")
     members = hirota.enumerate_asm(args.size)
     return {"size": args.size, "class": "asm", "count": len(members)}
 
 
 def _cmd_fpl(args) -> dict:
-    if args.L > BUDGETS["fpl_max_L"]:
-        raise BudgetExceeded(f"fpl budgeted to L <= {BUDGETS['fpl_max_L']}")
     counts = combin.enumerate_fpl(args.L)
     out = {"L": args.L, "total": sum(counts.values())}
     if args.p is not None:
@@ -445,22 +392,23 @@ def _cmd_fpl(args) -> dict:
 def _cmd_sfactor(args) -> dict:
     import mpmath
 
-    if args.L > BUDGETS["sfactor_max_L"]:
-        raise BudgetExceeded(f"sfactor budgeted to L <= {BUDGETS['sfactor_max_L']}")
     value = combin.sfactor(args.L, args.p, args.bits)
+    need = mpmath.mag(value) + NEAREST_INT_GUARD_BITS
+    if need > args.bits:
+        raise ValueError(f"sfactor L={args.L} p={args.p} needs --bits >= {need} to round exactly")
     with mpmath.workprec(args.bits):
         nearest = int(mpmath.nint(value))
     return {"L": args.L, "p": args.p, "bits": args.bits, "value": mpmath.nstr(value, 30), "nearest_int": nearest}
 
 
 def _cmd_verify(args) -> tuple[dict, bool]:
-    if args.max_L > BUDGETS["verify_max_L"]:
-        raise BudgetExceeded(f"verify budgeted to max-L <= {BUDGETS['verify_max_L']}")
+    if args.max_L > VERIFY_MAX_L:
+        raise EnumerationBudgetError(f"verify budgeted to max-L <= {VERIFY_MAX_L}")
     if args.suite == "all":
         reports = verify_all(args.max_L, args.seed)
     else:
         if args.suite not in SUITES:
-            raise BudgetExceeded(f"unknown suite {args.suite!r}")
+            raise ValueError(f"unknown suite {args.suite!r}")
         reports = [_run_suite(args.suite, args.max_L, args.seed)]
     ok = all(r.passed for r in reports)
     for r in reports:
@@ -551,7 +499,7 @@ def run(argv: list[str]) -> int:
         }[args.command]
         _emit(handler(args), args.format)
         return 0
-    except (BudgetExceeded, ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,14 +18,17 @@ from typing import Iterable, Optional, Sequence
 
 import mpmath
 
-from .hirota import ASMatrix, EnumerationBudgetError
+from .hirota import ASMatrix
 from .qkz import DyckPath, dyck_family
 from .report import VerifyReport
-from .ring import RingMatrix, TauPoly, det
+from .ring import EnumerationBudgetError, RingMatrix, TauPoly, det
 from . import tee as tee_mod
 
 FPL_MAX_L = 8
 VSASM_MAX_SIZE = 9
+PATHS_MAX_P = 5
+PATHS_MAX_L = 14
+SFACTOR_MAX_L = 64
 VSASM_COUNTS = {3: 1, 5: 3, 7: 26, 9: 646}
 
 
@@ -131,12 +134,12 @@ def path_count(L: int, p: int, k: int) -> TauPoly:
     The fans share endpoint columns; families are vertex-disjoint within
     each fan.  Equals the determinant value on the common domain.
     """
+    if p > PATHS_MAX_P or L > PATHS_MAX_L:
+        raise EnumerationBudgetError(f"path enumeration budgeted to p <= {PATHS_MAX_P}, L <= {PATHS_MAX_L}")
     if p < 0:
         raise ValueError("p must be nonnegative")
     if p == 0:
         return TauPoly.one()
-    if p > 5 or L > 14:
-        raise EnumerationBudgetError("path enumeration budgeted to p <= 5, L <= 14")
     kp = L - 2 * p - k
     starts1 = [(l, l + k - 1) for l in range(1, p + 1)]
     starts2 = [(l - kp, -(l + kp)) for l in range(1, p + 1)]
@@ -163,6 +166,8 @@ def sfactor(L: int, p: int, precision: int = 256) -> mpmath.mpf:
     determinant values, so the exponent here was calibrated against exact
     counts for every p at L <= 12 and is exact at p = 0 by the empty product.
     """
+    if L > SFACTOR_MAX_L:
+        raise EnumerationBudgetError(f"gamma product budgeted to L <= {SFACTOR_MAX_L}")
     if precision < 128:
         raise ValueError("precision must be at least 128 bits")
     if p < 0 or p > (L - 1) // 2:
@@ -196,7 +201,7 @@ def enumerate_vsasm(size: int) -> list[ASMatrix]:
     if size % 2 == 0:
         raise ValueError("vertically symmetric matrices have odd size")
     if size > VSASM_MAX_SIZE:
-        raise EnumerationBudgetError(f"enumeration capped at size {VSASM_MAX_SIZE}")
+        raise EnumerationBudgetError(f"symmetric enumeration budgeted to size <= {VSASM_MAX_SIZE}")
     rows_by_len = {m: _symmetric_rows(size, m) for m in range(1, size + 1)}
     results: list[ASMatrix] = []
 
@@ -401,7 +406,7 @@ def enumerate_fpl(L: int) -> dict[DyckPath, int]:
     exactly one free half-edge on the top side.
     """
     if L > FPL_MAX_L:
-        raise EnumerationBudgetError(f"loop enumeration capped at L={FPL_MAX_L}")
+        raise EnumerationBudgetError(f"loop enumeration budgeted to L <= {FPL_MAX_L}")
     if L < 2:
         raise ValueError("L must be at least 2")
     H, W, forced, terminals = _fpl_geometry(L)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .report import VerifyReport
-from .ring import TauPoly
+from .ring import EnumerationBudgetError, TauPoly
 
 Value = Union[int, Fraction, TauPoly]
 
@@ -135,6 +135,9 @@ def octahedron_step(state: OctState, k: int) -> OctState:
     return OctState(state.n, tau2, layers, k, state.keep_history)
 
 
+TAU2_DET_MAX_N = 12
+
+
 def tau2_det(matrix: Sequence[Sequence[Value]], tau2: Value) -> Value:
     """Deformed determinant: the top value of the recurrence tower.
 
@@ -143,6 +146,8 @@ def tau2_det(matrix: Sequence[Sequence[Value]], tau2: Value) -> Value:
     callers can resample random inputs.
     """
     n = len(matrix)
+    if n > TAU2_DET_MAX_N:
+        raise EnumerationBudgetError(f"deformed determinant budgeted to n <= {TAU2_DET_MAX_N}")
     if n == 0:
         return 1
     state = oct_init(matrix, tau2)
@@ -156,11 +161,8 @@ def tau2_det(matrix: Sequence[Sequence[Value]], tau2: Value) -> Value:
 # ---------------------------------------------------------------------------
 
 ASM_MAX_N = 6
+ASM_EXPANSION_MAX_N = 5
 ASM_COUNTS = {1: 1, 2: 2, 3: 7, 4: 42, 5: 429, 6: 7436}
-
-
-class EnumerationBudgetError(ValueError):
-    """Requested size exceeds the documented enumeration cap."""
 
 
 @dataclass(frozen=True)
@@ -224,7 +226,7 @@ def _monotone_rows(n: int, prev: tuple[int, ...]) -> list[tuple[int, ...]]:
 def enumerate_asm(n: int) -> list[ASMatrix]:
     """All alternating sign matrices of size n by monotone-triangle search."""
     if n > ASM_MAX_N:
-        raise EnumerationBudgetError(f"ASM enumeration capped at n={ASM_MAX_N}")
+        raise EnumerationBudgetError(f"ASM enumeration budgeted to n <= {ASM_MAX_N}")
     if n < 1:
         raise ValueError("n must be positive")
     results: list[ASMatrix] = []
@@ -257,8 +259,8 @@ def asm_expansion(matrix: Sequence[Sequence[Value]], lam: Value) -> Value:
     Requires nonzero entries wherever some ASM has a -1, and nonzero lam.
     """
     n = len(matrix)
-    if n > 5:
-        raise EnumerationBudgetError("expansion oracle capped at n=5")
+    if n > ASM_EXPANSION_MAX_N:
+        raise EnumerationBudgetError(f"expansion oracle budgeted to n <= {ASM_EXPANSION_MAX_N}")
     lam = Fraction(lam)
     if lam == 0:
         raise ZeroDivisionError("lam must be nonzero")

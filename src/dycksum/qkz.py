@@ -14,9 +14,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .ring import MultiPoly, TauPoly, tau_qnumber
+from .ring import EnumerationBudgetError, MultiPoly, TauPoly, tau_qnumber
 
-SOLVE_MAX_L = 10  # largest size the exact solve is budgeted for
+# largest size the integrand expansion (psi_bar) and the exact solve are budgeted for
+SOLVE_MAX_L = 10
 
 
 class ConventionError(RuntimeError):
@@ -72,11 +73,6 @@ class DyckPath:
 
     def down_positions(self) -> tuple[int, ...]:
         return tuple(i + 1 for i, (a, b) in enumerate(zip(self.heights, self.heights[1:])) if b < a)
-
-    def peaks(self) -> tuple[int, ...]:
-        """Interior positions i with a local maximum at i."""
-        h = self.heights
-        return tuple(i for i in range(1, len(h) - 1) if h[i - 1] < h[i] > h[i + 1])
 
     def __str__(self) -> str:
         return self.to_string()
@@ -425,6 +421,8 @@ def psi_bar(b: Sequence[int], L: int) -> TauPoly:
     Expands the size-L integrand once per size (cached) and reads the
     coefficient of the monomial with exponents b_l - 1.
     """
+    if L > SOLVE_MAX_L:
+        raise EnumerationBudgetError(f"constant terms budgeted to L <= {SOLVE_MAX_L}")
     b = tuple(int(x) for x in b)
     n = L // 2
     if len(b) != n:
@@ -489,7 +487,7 @@ def solve_psi(L: int) -> PsiVector:
     ConventionError.
     """
     if L > SOLVE_MAX_L:
-        raise ValueError(f"solve budgeted up to L={SOLVE_MAX_L}")
+        raise EnumerationBudgetError(f"solve budgeted to L <= {SOLVE_MAX_L}")
     if L < 1:
         raise ValueError("L must be positive")
     paths = enumerate_dyck(L)

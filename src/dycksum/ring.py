@@ -15,6 +15,7 @@ Everything downstream is built on four value types:
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -31,6 +32,10 @@ class DimensionError(ValueError):
 
 class CapError(ValueError):
     """Requested exponent lies outside a MultiPoly's declared cap."""
+
+
+class EnumerationBudgetError(ValueError):
+    """Requested size exceeds the documented budget of the function called."""
 
 
 def _norm_coeff(c: Coeff) -> Coeff:
@@ -98,9 +103,6 @@ class TauPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_one(self) -> bool:
-        return self.terms == {0: 1}
 
     def coefficient(self, exponent: int) -> Coeff:
         return self.terms.get(exponent, 0)
@@ -254,13 +256,6 @@ class TauPoly:
 
     def at_tau_one(self) -> Coeff:
         return _norm_coeff(sum(self.terms.values(), start=Fraction(0)))
-
-    def substitute(self, value: "TauPoly") -> "TauPoly":
-        """Compose: replace tau by another TauPoly (a unit if negative exponents occur)."""
-        out = TauPoly.zero()
-        for e, c in self.terms.items():
-            out = out + value**e * c
-        return out
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TauPoly):
@@ -439,31 +434,11 @@ class RingMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
-    def with_rows(self, new_rows: Sequence[Sequence]) -> "RingMatrix":
-        return RingMatrix(new_rows)
-
     def __repr__(self) -> str:
         return f"RingMatrix({self.rows}x{self.cols})"
 
 
-def _is_zero(x) -> bool:
-    if isinstance(x, TauPoly):
-        return x.is_zero()
-    return x == 0
-
-
-def _exact_div(a, b):
-    if isinstance(a, TauPoly) or isinstance(b, TauPoly):
-        if not isinstance(a, TauPoly):
-            a = TauPoly.from_coeff(a)
-        if not isinstance(b, TauPoly):
-            b = TauPoly.from_coeff(b)
-        return a.exact_div(b)
-    if isinstance(a, Fraction) or isinstance(b, Fraction):
-        return _norm_coeff(Fraction(a) / Fraction(b))
+def _int_div(a: int, b: int) -> int:
     q, r = divmod(a, b)
     if r:
         raise ExactDivisionError("nonzero integer remainder")
@@ -473,39 +448,50 @@ def _exact_div(a, b):
 def det(m: RingMatrix) -> TauPoly | Coeff:
     """Exact determinant by fraction-free Bareiss elimination.
 
-    The 0x0 determinant is 1 (empty product).  Every interior division is
-    asserted exact; a nonzero remainder indicates corrupted input, never a
-    valid state.
+    The 0x0 determinant is 1 (empty product).  The domain is fixed once per
+    matrix: TauPoly if any entry is one, integers if every entry is an int,
+    rationals otherwise.  Every interior division is exact; a nonzero
+    remainder indicates corrupted input, never a valid state.
     """
     if not m.is_square():
         raise DimensionError("determinant of a non-square matrix")
     n = m.rows
     if n == 0:
         return TauPoly.one()
-    a = [list(row) for row in m.entries]
+    flat = [x for row in m.entries for x in row]
+    if any(isinstance(x, TauPoly) for x in flat):
+        a = [[x if isinstance(x, TauPoly) else TauPoly.from_coeff(x) for x in row] for row in m.entries]
+        div = TauPoly.exact_div
+    elif all(isinstance(x, int) for x in flat):
+        a = [list(row) for row in m.entries]
+        div = _int_div
+    else:
+        # integer divmod on an intermediate that happens to be integral would
+        # reject a valid rational quotient, so stay in Fraction throughout
+        a = [[Fraction(x) for x in row] for row in m.entries]
+        div = operator.truediv
     sign = 1
     prev = None
     for k in range(n - 1):
-        if _is_zero(a[k][k]):
+        if not a[k][k]:
             for i in range(k + 1, n):
-                if not _is_zero(a[i][k]):
+                if a[i][k]:
                     a[k], a[i] = a[i], a[k]
                     sign = -sign
                     break
             else:
-                zero = TauPoly.zero() if isinstance(a[k][k], TauPoly) else 0
-                return zero
+                return _norm_coeff(a[k][k])
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 elt = a[k][k] * a[i][j] - a[i][k] * a[k][j]
                 if prev is not None:
-                    elt = _exact_div(elt, prev)
+                    elt = div(elt, prev)
                 a[i][j] = elt
         prev = a[k][k]
     result = a[n - 1][n - 1]
     if sign < 0:
         result = -result
-    return result
+    return _norm_coeff(result)
 
 
 def det_cofactor(m: RingMatrix) -> TauPoly | Coeff:

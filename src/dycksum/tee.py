@@ -15,10 +15,13 @@ from math import comb
 from typing import Union
 
 from .report import VerifyReport
-from .ring import RingMatrix, TauPoly, det
+from .ring import EnumerationBudgetError, RingMatrix, TauPoly, det
 from . import qkz
 
 TLike = Union[int, Fraction, TauPoly, str]
+
+TEE_MAX_L = 20  # largest L for tee and tee_via_U
+LEMMA2_MAX_P = 5  # verify_lemma2 expands p! symbolic terms
 
 
 def bino(n: int, r: int) -> int:
@@ -60,13 +63,14 @@ class TeeParams:
 
 def tee(L: int, p: int, k: int) -> TauPoly:
     """The p x p determinant of tee_entry; the empty determinant is 1."""
+    if L > TEE_MAX_L:
+        raise EnumerationBudgetError(f"tee budgeted to L <= {TEE_MAX_L}")
     params = TeeParams(L, p, k)
     rows = [
         [tee_entry(l, m, params.k, params.kprime) for m in range(1, p + 1)]
         for l in range(1, p + 1)
     ]
-    d = det(RingMatrix(rows))
-    return d if isinstance(d, TauPoly) else TauPoly.from_coeff(d)
+    return det(RingMatrix(rows))
 
 
 def tee_via_U(L: int, p: int, k: int) -> TauPoly:
@@ -75,6 +79,8 @@ def tee_via_U(L: int, p: int, k: int) -> TauPoly:
     First column alternates (-1)^(l-1) tau^(2(p+1-l)); the remaining block is
     tee_entry with the complement lowered by one.
     """
+    if L > TEE_MAX_L:
+        raise EnumerationBudgetError(f"tee budgeted to L <= {TEE_MAX_L}")
     params = TeeParams(L, p, k)
     rows = []
     for l in range(1, p + 2):
@@ -82,8 +88,7 @@ def tee_via_U(L: int, p: int, k: int) -> TauPoly:
         for m in range(1, p + 1):
             row.append(tee_entry(l, m, params.k, params.kprime - 1))
         rows.append(row)
-    d = det(RingMatrix(rows))
-    return d if isinstance(d, TauPoly) else TauPoly.from_coeff(d)
+    return det(RingMatrix(rows))
 
 
 def nu(L: int, p: int) -> int:
@@ -167,9 +172,7 @@ def s_det(L: int, p: int, t: TLike) -> TauPoly:
         [_s_entry(l, m, pt, l + pt - shift, tv) for m in range(1, p + 1)]
         for l in range(1, p + 1)
     ]
-    d = det(RingMatrix(rows))
-    result = d if isinstance(d, TauPoly) else TauPoly.from_coeff(d)
-    result = result.shift(_s_prefactor(L, p))
+    result = det(RingMatrix(rows)).shift(_s_prefactor(L, p))
     unit = tv.as_unit()
     if unit in ((1, 1), (-1, 1)):
         sign = 1 if unit == (1, 1) else -1
@@ -206,9 +209,7 @@ def s_closed(L: int, p: int, sign: int) -> TauPoly:
         return TauPoly(terms)
 
     rows = [[entry(l, m) for m in range(1, p + 1)] for l in range(1, p + 1)]
-    d = det(RingMatrix(rows))
-    d = d if isinstance(d, TauPoly) else TauPoly.from_coeff(d)
-    return d.shift(_s_prefactor(L, p))
+    return det(RingMatrix(rows)).shift(_s_prefactor(L, p))
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +363,8 @@ def verify_lemma2(pmax: int) -> VerifyReport:
     then keeps only monomials with every u-exponent <= 0; the right side is
     prod u_l^(-1) prod_{l<m}(1/u_m - 1/u_l)(tau + 1/u_l + 1/u_m).
     """
-    if pmax > 5:
-        raise ValueError("pmax capped at 5 (factorial symbolic cost)")
+    if pmax > LEMMA2_MAX_P:
+        raise EnumerationBudgetError(f"lemma2 budgeted to p <= {LEMMA2_MAX_P}")
     rep = VerifyReport("lemma2", {"max_p": pmax})
     one = TauPoly.one()
     tau = TauPoly.tau()

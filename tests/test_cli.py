@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from dycksum import combin, hirota, qkz, tee
 from dycksum.cli import run
+from dycksum.hirota import EnumerationBudgetError
 from dycksum.ring import TauPoly
 
 
@@ -100,7 +102,7 @@ def test_verify_determinism(capout):
     assert out1 == out2
 
 
-def test_exit_codes(capout):
+def test_exit_codes(tmp_path, capout):
     code, _, _ = capout(["nope"])
     assert code == 2
     code, _, err = capout(["fpl", "--L", "12"])
@@ -111,6 +113,53 @@ def test_exit_codes(capout):
     assert code == 2
     code, _, err = capout(["verify", "--suite", "unknown"])
     assert code == 2
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"n": 13, "entries": [["1"] * 13] * 13}))
+    # one request just past each cap; the library function called raises
+    over_budget = [
+        ["psi", "--L", "11"],
+        ["sums", "--L", "11", "--p", "0"],
+        ["sums", "--L", "11", "--p", "0", "--t", "1/2"],
+        ["tee", "--L", "21", "--p", "0", "--k", "1"],
+        ["tee", "--L", "21", "--p", "0", "--k", "1", "--via-u"],
+        ["hirota", "--input", str(big), "--tau2", "-1"],
+        ["lgv", "--method", "paths", "--L", "15", "--p", "1", "--k", "0"],
+        ["lgv", "--method", "paths", "--L", "14", "--p", "6", "--k", "0"],
+        ["asm", "--size", "7"],
+        ["asm", "--class", "vsasm", "--size", "11"],
+        ["fpl", "--L", "9"],
+        ["sfactor", "--L", "65", "--p", "0"],
+        ["verify", "--suite", "ring", "--max-L", "13"],
+    ]
+    for argv in over_budget:
+        code, out, err = capout(argv)
+        assert code == 2 and out == "" and "budget" in err, argv
+    # 2^513 cannot round exactly at 256 bits; 1024 bits can
+    code, out, err = capout(["sfactor", "--L", "64", "--p", "20"])
+    assert code == 2 and out == "" and "--bits >= 545" in err
+    code, out, _ = capout(["sfactor", "--L", "64", "--p", "20", "--bits", "1024"])
+    assert code == 0 and json.loads(out)["nearest_int"].bit_length() == 513
+
+
+def test_library_budgets():
+    over_budget = [
+        lambda: qkz.solve_psi(qkz.SOLVE_MAX_L + 1),
+        lambda: qkz.psi_bar((1,) * 5, qkz.SOLVE_MAX_L + 1),
+        lambda: tee.tee(tee.TEE_MAX_L + 1, 0, 1),
+        lambda: tee.tee_via_U(tee.TEE_MAX_L + 1, 0, 1),
+        lambda: tee.verify_lemma2(tee.LEMMA2_MAX_P + 1),
+        lambda: hirota.tau2_det([[1] * 13] * (hirota.TAU2_DET_MAX_N + 1), -1),
+        lambda: hirota.enumerate_asm(hirota.ASM_MAX_N + 1),
+        lambda: hirota.asm_expansion([[1] * 6] * (hirota.ASM_EXPANSION_MAX_N + 1), 1),
+        lambda: combin.path_count(combin.PATHS_MAX_L + 1, 1, 0),
+        lambda: combin.path_count(combin.PATHS_MAX_L, combin.PATHS_MAX_P + 1, 0),
+        lambda: combin.enumerate_vsasm(combin.VSASM_MAX_SIZE + 2),
+        lambda: combin.enumerate_fpl(combin.FPL_MAX_L + 1),
+        lambda: combin.sfactor(combin.SFACTOR_MAX_L + 1, 0),
+    ]
+    for call in over_budget:
+        with pytest.raises(EnumerationBudgetError, match="budget"):
+            call()
 
 
 def test_table_format(capout):

@@ -100,6 +100,19 @@ def test_det_small_fixtures():
     assert det(RingMatrix([[0, 1], [1, 0]])) == -1
     m = RingMatrix([[P(p0=2, p2=1)]])
     assert det(m) == P(p0=2, p2=1)
+    # rational matrices whose Bareiss intermediates turn integral part-way
+    F = Fraction
+    m = RingMatrix([[-1, 0, 0, -3], [-3, 2, -2, -2], [0, -1, 0, 0], [-3, -3, F(-3, 2), 0]])
+    assert det(m) == F(15, 2)
+    rows = [
+        [3, F(-1, 2), 3, -3, 2],
+        [2, 0, 2, -3, -1],
+        [3, 2, -3, 1, 2],
+        [-4, -2, 4, -1, F(3, 2)],
+        [1, -1, 1, -2, 2],
+    ]
+    m = RingMatrix([[F(x) for x in row] for row in rows])
+    assert det(m) == F(-245, 2)
 
 
 def test_det_requires_square():
