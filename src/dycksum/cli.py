@@ -2,7 +2,8 @@
 
 Subcommands print JSON (default) or an aligned table on stdout; diagnostics
 and timing go to stderr.  Exit codes: 0 success, 1 verification failure,
-2 invalid input.  Output bytes depend only on argv and --seed.
+2 invalid input, 3 internal error.  Output bytes depend only on argv and
+--seed.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from . import combin, hirota, qkz, tee
 from .report import VerifyReport
 from .ring import EnumerationBudgetError, RingMatrix, TauPoly, det, det_cofactor, pluecker_check, tau_qnumber
 
+VERIFY_MIN_L = 4  # prop1, trecur and sfactor sweep from L = 4
 VERIFY_MAX_L = 12
 # nearest_int is printed only when the value's magnitude leaves this many
 # bits of --bits precision spare, so the rounding is exact
@@ -253,7 +255,6 @@ SUITES = {
     "lemma2": lambda max_L, seed: tee.verify_lemma2(4),
     "lemma3": lambda max_L, seed: tee.verify_lemma3(max_L),
     "hirota": lambda max_L, seed: verify_hirota_suite(seed),
-    "hirota-tee": lambda max_L, seed: hirota.verify_hirota_on_tee(max_L),
     "lgv": lambda max_L, seed: verify_lgv(min(max_L, qkz.SOLVE_MAX_L)),
     "fpl": lambda max_L, seed: verify_fpl(min(max_L, combin.FPL_MAX_L)),
     "prop4": lambda max_L, seed: verify_prop4(min(max_L, qkz.SOLVE_MAX_L) // 2),
@@ -311,8 +312,11 @@ def _parse_rational(s: str) -> Fraction:
 def _parse_matrix(path: str) -> tuple[list[list[Fraction]], int]:
     with open(path) as fh:
         data = json.load(fh)
-    n = int(data["n"])
-    entries = [[_parse_rational(x) for x in row] for row in data["entries"]]
+    try:
+        n = int(data["n"])
+        entries = [[_parse_rational(x) for x in row] for row in data["entries"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f'matrix file needs "n" and an "entries" list of rows ({exc!r})') from exc
     if len(entries) != n or any(len(r) != n for r in entries):
         raise ValueError("entries must form an n x n matrix")
     return entries, n
@@ -403,7 +407,9 @@ def _cmd_sfactor(args) -> dict:
 
 def _cmd_verify(args) -> tuple[dict, bool]:
     if args.max_L > VERIFY_MAX_L:
-        raise EnumerationBudgetError(f"verify budgeted to max-L <= {VERIFY_MAX_L}")
+        raise EnumerationBudgetError(f"verify budgeted to {VERIFY_MIN_L} <= max-L <= {VERIFY_MAX_L}")
+    if args.max_L < VERIFY_MIN_L:
+        raise ValueError(f"verify needs {VERIFY_MIN_L} <= max-L <= {VERIFY_MAX_L}")
     if args.suite == "all":
         reports = verify_all(args.max_L, args.seed)
     else:
@@ -499,9 +505,13 @@ def run(argv: list[str]) -> int:
         }[args.command]
         _emit(handler(args), args.format)
         return 0
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a broken invariant inside the library, not a bad request
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import mpmath
 
-from .hirota import ASMatrix
+from .hirota import ASMatrix, _build_asms
 from .qkz import DyckPath, dyck_family
 from .report import VerifyReport
 from .ring import EnumerationBudgetError, RingMatrix, TauPoly, det
@@ -203,35 +203,16 @@ def enumerate_vsasm(size: int) -> list[ASMatrix]:
     if size > VSASM_MAX_SIZE:
         raise EnumerationBudgetError(f"symmetric enumeration budgeted to size <= {VSASM_MAX_SIZE}")
     rows_by_len = {m: _symmetric_rows(size, m) for m in range(1, size + 1)}
-    results: list[ASMatrix] = []
 
-    def interlaces(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
-        return all(big[j] <= small[j] <= big[j + 1] for j in range(len(small)))
+    def next_rows(prev: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Symmetric rows one longer than prev that interlace it."""
+        return [
+            big
+            for big in rows_by_len[len(prev) + 1]
+            if all(big[j] <= prev[j] <= big[j + 1] for j in range(len(prev)))
+        ]
 
-    def build(triangle: list[tuple[int, ...]]):
-        if len(triangle) == size:
-            rows = []
-            prev: set[int] = set()
-            for rowset in triangle:
-                cur = set(rowset)
-                rows.append(
-                    tuple(
-                        1 if j in cur and j not in prev else -1 if j in prev and j not in cur else 0
-                        for j in range(1, size + 1)
-                    )
-                )
-                prev = cur
-            results.append(ASMatrix(tuple(rows)))
-            return
-        for nxt in rows_by_len[len(triangle) + 1]:
-            if interlaces(triangle[-1], nxt):
-                triangle.append(nxt)
-                build(triangle)
-                triangle.pop()
-
-    center = (size + 1) // 2
-    build([(center,)])
-    return results
+    return _build_asms(size, [((size + 1) // 2,)], next_rows)
 
 
 def vsasm_genfun(size: int) -> TauPoly:
@@ -451,7 +432,8 @@ def enumerate_fpl(L: int) -> dict[DyckPath, int]:
             while True:
                 nbrs = neighbours(*cur)
                 nxt = [x for x in nbrs if x != prev]
-                assert len(nxt) == 1, "vertex degree violated during trace"
+                if len(nxt) != 1:
+                    raise AssertionError("vertex degree violated during trace")
                 step = nxt[0]
                 if isinstance(step[0], str):
                     if step[0] == "EXT":

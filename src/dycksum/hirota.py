@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
-from .report import VerifyReport
-from .ring import EnumerationBudgetError, TauPoly
+from .ring import EnumerationBudgetError, TauPoly, _norm_coeff
 
 Value = Union[int, Fraction, TauPoly]
 
@@ -33,32 +32,6 @@ class DegenerateDivisionError(ZeroDivisionError):
     def __init__(self, level: int, i: int, j: int):
         super().__init__(f"zero divisor at (n,i,j)=({level},{i},{j})")
         self.point = (level, i, j)
-
-
-def _norm_value(x) -> Value:
-    if isinstance(x, TauPoly):
-        return x
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
-
-
-def _mul(a: Value, b: Value) -> Value:
-    return a * b
-
-
-def _div(a: Value, b: Value, where: tuple[int, int, int]) -> Value:
-    if isinstance(a, TauPoly) or isinstance(b, TauPoly):
-        if not isinstance(a, TauPoly):
-            a = TauPoly.from_coeff(a)
-        if not isinstance(b, TauPoly):
-            b = TauPoly.from_coeff(b)
-        if b.is_zero():
-            raise DegenerateDivisionError(*where)
-        return a.exact_div(b)
-    if b == 0:
-        raise DegenerateDivisionError(*where)
-    return _norm_value(Fraction(a) / Fraction(b))
 
 
 @dataclass
@@ -95,7 +68,7 @@ def oct_init(matrix: Sequence[Sequence[Value]], tau2: Value, keep_history: bool 
         raise ValueError("matrix must be square")
     layer0 = {(R, C): 1 for R in range(0, n + 1) for C in range(0, n + 1)}
     layer1 = {
-        (R, C): _norm_value(matrix[R - 1][C - 1]) for R in range(1, n + 1) for C in range(1, n + 1)
+        (R, C): _norm_coeff(matrix[R - 1][C - 1]) for R in range(1, n + 1) for C in range(1, n + 1)
     }
     if isinstance(tau2, TauPoly) or any(isinstance(v, TauPoly) for v in layer1.values()):
         layer0 = {k: TauPoly.one() for k in layer0}
@@ -122,14 +95,20 @@ def octahedron_step(state: OctState, k: int) -> OctState:
     prev = state.layers[k - 1]
     prev2 = state.layers[k - 2]
     tau2 = state.tau2
+    # oct_init fixed one domain for the whole tower: TauPoly, or int/Fraction
+    if isinstance(tau2, TauPoly):
+        div = TauPoly.exact_div
+    else:
+        def div(a: Value, b: Value) -> Value:
+            return _norm_coeff(Fraction(a, b))
     new: dict[tuple[int, int], Value] = {}
     for R in range(k, state.n + 1):
         for C in range(k, state.n + 1):
-            num = _mul(prev[(R - 1, C - 1)], prev[(R, C)])
-            cross = _mul(prev[(R - 1, C)], prev[(R, C - 1)])
-            num = num + _mul(tau2, cross)
-            where = (k, R + C - k, R - C)
-            new[(R, C)] = _div(num, prev2[(R - 1, C - 1)], where)
+            den = prev2[(R - 1, C - 1)]
+            if not den:
+                raise DegenerateDivisionError(k, R + C - k, R - C)
+            num = prev[(R - 1, C - 1)] * prev[(R, C)] + tau2 * (prev[(R - 1, C)] * prev[(R, C - 1)])
+            new[(R, C)] = div(num, den)
     layers = dict(state.layers) if state.keep_history else {k - 1: prev}
     layers[k] = new
     return OctState(state.n, tau2, layers, k, state.keep_history)
@@ -223,32 +202,51 @@ def _monotone_rows(n: int, prev: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
+def _build_asms(
+    size: int,
+    starts: Sequence[tuple[int, ...]],
+    next_rows: Callable[[tuple[int, ...]], list[tuple[int, ...]]],
+) -> list[ASMatrix]:
+    """ASMs of every monotone triangle grown from a start row by next_rows.
+
+    Row r of the matrix is +1 at the entries that enter triangle row r and -1
+    at those that leave it; triangles come out depth first, in the order of
+    starts and of next_rows.
+    """
+    results: list[ASMatrix] = []
+
+    def build(triangle: list[tuple[int, ...]]):
+        if len(triangle) == size:
+            rows = []
+            prev: set[int] = set()
+            for rowset in triangle:
+                cur = set(rowset)
+                rows.append(
+                    tuple(
+                        1 if j in cur and j not in prev else -1 if j in prev and j not in cur else 0
+                        for j in range(1, size + 1)
+                    )
+                )
+                prev = cur
+            results.append(ASMatrix(tuple(rows)))
+            return
+        for nxt in next_rows(triangle[-1]):
+            triangle.append(nxt)
+            build(triangle)
+            triangle.pop()
+
+    for start in starts:
+        build([start])
+    return results
+
+
 def enumerate_asm(n: int) -> list[ASMatrix]:
     """All alternating sign matrices of size n by monotone-triangle search."""
     if n > ASM_MAX_N:
         raise EnumerationBudgetError(f"ASM enumeration budgeted to n <= {ASM_MAX_N}")
     if n < 1:
         raise ValueError("n must be positive")
-    results: list[ASMatrix] = []
-
-    def build(triangle: list[tuple[int, ...]]):
-        if len(triangle) == n:
-            rows = []
-            prev: set[int] = set()
-            for rowset in triangle:
-                cur = set(rowset)
-                rows.append(tuple(1 if j in cur and j not in prev else -1 if j in prev and j not in cur else 0 for j in range(1, n + 1)))
-                prev = cur
-            results.append(ASMatrix(tuple(rows)))
-            return
-        for nxt in _monotone_rows(n, triangle[-1]):
-            triangle.append(nxt)
-            build(triangle)
-            triangle.pop()
-
-    for start in range(1, n + 1):
-        build([(start,)])
-    return results
+    return _build_asms(n, [(start,) for start in range(1, n + 1)], lambda prev: _monotone_rows(n, prev))
 
 
 def asm_expansion(matrix: Sequence[Sequence[Value]], lam: Value) -> Value:
@@ -274,51 +272,4 @@ def asm_expansion(matrix: Sequence[Sequence[Value]], lam: Value) -> Value:
                 elif v == -1:
                     term /= Fraction(matrix[i][j])
         total += term
-    return _norm_value(total)
-
-
-# ---------------------------------------------------------------------------
-# cross-module stencil walk
-# ---------------------------------------------------------------------------
-
-
-def verify_hirota_on_tee(Lmax: int) -> VerifyReport:
-    """Confirm the determinant family satisfies the recurrence on the lattice.
-
-    Every rotated-lattice point (n,i,j) whose six stencil neighbours map back
-    to admissible determinant parameters is checked exactly.
-    """
-    from . import tee as tee_mod
-
-    rep = VerifyReport("hirota-tee", {"max_L": Lmax})
-    seen = set()
-    for L in range(2, Lmax + 1):
-        for p in range(0, L // 2 + 1):
-            for k in range(0, L - 2 * p + 1):
-                nn, ii, jj = tee_mod.hirota_coords(L, p, k)
-                if (nn, ii, jj) in seen:
-                    continue
-                seen.add((nn, ii, jj))
-                stencil = [
-                    (nn, ii, jj),
-                    (nn - 2, ii, jj),
-                    (nn - 1, ii - 1, jj),
-                    (nn - 1, ii + 1, jj),
-                    (nn - 1, ii, jj - 1),
-                    (nn - 1, ii, jj + 1),
-                ]
-                params = [tee_mod.hirota_coords_inverse(*pt) for pt in stencil]
-                if not all(
-                    q >= 0 and kk >= 0 and (ll - 2 * q - kk) >= 0 and ll <= Lmax
-                    for (ll, q, kk) in params
-                ):
-                    rep.skipped += 1
-                    continue
-                f = [tee_mod.tee(*prm) for prm in params]
-                lhs = f[0] * f[1]
-                rhs = f[2] * f[3] + (f[4] * f[5]).shift(2)
-                rep.record(
-                    lhs == rhs,
-                    {"n": nn, "i": ii, "j": jj, "expected": rhs.to_json(), "actual": lhs.to_json()},
-                )
-    return rep
+    return _norm_coeff(total)

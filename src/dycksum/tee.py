@@ -109,37 +109,25 @@ def nu(L: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _upoly_mul(a: list[TauPoly], b: list[TauPoly], upto: int) -> list[TauPoly]:
-    out = [TauPoly.zero()] * (upto + 1)
-    for i, ca in enumerate(a):
-        if i > upto or ca.is_zero():
-            continue
-        for j, cb in enumerate(b):
-            if i + j > upto:
-                break
-            if not cb.is_zero():
-                out[i + j] = out[i + j] + ca * cb
-    return out
-
-
-def _upoly_pow(base: list[TauPoly], e: int, upto: int) -> list[TauPoly]:
-    out = [TauPoly.one()] + [TauPoly.zero()] * upto
-    for _ in range(e):
-        out = _upoly_mul(out, base, upto)
-    return out
-
-
 def _s_entry(l: int, m: int, pt: int, E: int, t: TauPoly) -> TauPoly:
-    """Coefficient of u^(2m-l) in (1 + t u)(tau + u)^E (1 + tau u)^(m+pt)."""
+    """Coefficient of u^(2m-l) in (1 + t u)(tau + u)^E (1 + tau u)^(m+pt).
+
+    Without the first factor the coefficient of u^T is
+    sum_a C(E,a) C(m+pt,T-a) tau^(E-2a+T); the t u term adds t times the
+    same sum at T-1.
+    """
+
+    def coeff(T: int) -> TauPoly:
+        return TauPoly(
+            {E - 2 * a + T: bino(E, a) * bino(m + pt, T - a) for a in range(0, min(E, T) + 1)}
+        )
+
     target = 2 * m - l
     if target < 0:
         return TauPoly.zero()
-    tau_plus_u = [TauPoly.tau(), TauPoly.one()]
-    one_plus_tau_u = [TauPoly.one(), TauPoly.tau()]
-    prod = _upoly_mul(_upoly_pow(tau_plus_u, E, target), _upoly_pow(one_plus_tau_u, m + pt, target), target)
-    out = prod[target]
+    out = coeff(target)
     if target >= 1:
-        out = out + t * prod[target - 1]
+        out = out + t * coeff(target - 1)
     return out
 
 
@@ -266,7 +254,10 @@ def verify_trecur(Lmax: int) -> VerifyReport:
     Checks T(L,p,k) T(L-2,p-2,k+2) = T(L-1,p-2,k+2) T(L-1,p,k)
     + tau^2 T(L-2,p-1,k) T(L,p-1,k+2) over every tuple with L <= Lmax whose
     six parameter triples all have p >= 0 and k, k' >= 0; other tuples are
-    counted as skipped.
+    counted as skipped.  These six triples are the octahedron stencil
+    around hirota_coords(L, p, k) mapped back by hirota_coords_inverse; a
+    point where the two coordinate systems disagree is an internal fault
+    and raises AssertionError.
     """
     rep = VerifyReport("trecur", {"max_L": Lmax})
     for L in range(4, Lmax + 1):
@@ -280,6 +271,17 @@ def verify_trecur(Lmax: int) -> VerifyReport:
                     (L - 2, p - 1, k),
                     (L, p - 1, k + 2),
                 ]
+                n, i, j = hirota_coords(L, p, k)
+                stencil = [
+                    (n, i, j),
+                    (n - 2, i, j),
+                    (n - 1, i - 1, j),
+                    (n - 1, i + 1, j),
+                    (n - 1, i, j - 1),
+                    (n - 1, i, j + 1),
+                ]
+                if [hirota_coords_inverse(*pt) for pt in stencil] != calls:
+                    raise AssertionError(f"lattice stencil does not map back to (L,p,k)=({L},{p},{k})")
                 if not all(TeeParams(*c).admissible() for c in calls):
                     rep.skipped += 1
                     continue

@@ -141,6 +141,32 @@ def test_exit_codes(tmp_path, capout):
     assert code == 0 and json.loads(out)["nearest_int"].bit_length() == 513
 
 
+def test_verify_max_l_range(capout):
+    # refused before any suite runs: no partial sweep, no empty pass
+    for argv in (
+        ["verify", "--suite", "all", "--max-L", "3"],
+        ["verify", "--suite", "lemma1", "--max-L", "-3"],
+    ):
+        code, out, err = capout(argv)
+        assert code == 2 and out == "" and "4 <= max-L <= 12" in err, argv
+
+
+def test_internal_errors_exit_3(tmp_path, capout, monkeypatch):
+    for exc in (qkz.ConventionError("broken convention"), KeyError("lost key")):
+
+        def broken(L, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(qkz, "solve_psi", broken)
+        code, out, err = capout(["psi", "--L", "4"])
+        assert code == 3 and out == "", exc
+        assert err.startswith("internal error:") and err.count("\n") == 1
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2}))
+    code, out, err = capout(["hirota", "--input", str(path), "--tau2", "-1"])
+    assert code == 2 and out == "" and "entries" in err
+
+
 def test_library_budgets():
     over_budget = [
         lambda: qkz.solve_psi(qkz.SOLVE_MAX_L + 1),

@@ -1,5 +1,6 @@
 """Lattice paths, loop diagrams, symmetric ASM classes, residue checks."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -109,6 +110,16 @@ def test_vsasm_counts():
         for B in members:
             n = B.n
             assert all(B.rows[i][j] == B.rows[i][n - 1 - j] for i in range(n) for j in range(n))
+
+
+def test_vsasm_enumeration_order():
+    # sha256 prefixes of the concatenated row reprs: the order is fixed
+    expected = {3: "3fcc0f974ffeb521", 5: "cfb0e1555efd7c45", 7: "60d56171da1608a5"}
+    for size, digest in expected.items():
+        h = hashlib.sha256()
+        for B in enumerate_vsasm(size):
+            h.update(repr(B.rows).encode())
+        assert h.hexdigest()[:16] == digest, size
 
 
 def test_vsasm_size_three_is_forced():

@@ -1,5 +1,6 @@
 """Octahedron recurrence, deformed determinants, ASM enumeration."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -15,9 +16,9 @@ from dycksum.hirota import (
     oct_init,
     octahedron_step,
     tau2_det,
-    verify_hirota_on_tee,
 )
 from dycksum.ring import RingMatrix, TauPoly, det
+from dycksum.tee import verify_trecur
 
 
 def rmat(rng, n, lo=-9, hi=9):
@@ -125,6 +126,22 @@ def test_asm_count_six():
     assert len(enumerate_asm(6)) == 7436
 
 
+def test_asm_enumeration_order():
+    # sha256 prefixes of the concatenated row reprs: the order is fixed
+    expected = {
+        1: "8349bb5d2d44e8d6",
+        2: "4a5be74af9ead31a",
+        3: "d35632395675a952",
+        4: "9969a4b08d4b705f",
+        5: "c85e1f43a111bb20",
+    }
+    for n, digest in expected.items():
+        h = hashlib.sha256()
+        for B in enumerate_asm(n):
+            h.update(repr(B.rows).encode())
+        assert h.hexdigest()[:16] == digest, n
+
+
 def test_asmatrix_validation():
     with pytest.raises(ValueError):
         ASMatrix(((1, 0), (1, -1)))
@@ -175,9 +192,10 @@ def test_hirota_points_satisfy_equation():
 
 
 def test_tee_lattice_walk():
-    rep = verify_hirota_on_tee(12)
+    # the recurrence sweep walks the octahedron stencil in lattice coordinates
+    rep = verify_trecur(12)
     assert rep.passed
-    assert rep.checked >= 50
+    assert rep.checked == 70
 
 
 def test_hirota_point_off_lattice():

@@ -118,8 +118,20 @@ def test_prop1_sweep_small():
 def test_trecur_sweep():
     rep = verify_trecur(12)
     assert rep.passed
-    assert rep.checked >= 50
+    assert rep.checked == 70
     assert rep.skipped > 0  # boundary tuples are excluded, not silently passed
+
+
+def test_trecur_stencil_round_trip_is_enforced(monkeypatch):
+    import dycksum.tee as tee_mod
+
+    def skewed(n, i, j):
+        L, p, k = hirota_coords_inverse(n, i, j)
+        return (L, p, k + 1)
+
+    monkeypatch.setattr(tee_mod, "hirota_coords_inverse", skewed)
+    with pytest.raises(AssertionError, match="stencil"):
+        verify_trecur(6)
 
 
 def test_trecur_single_instance():
