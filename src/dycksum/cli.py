@@ -305,18 +305,29 @@ def _flatten(obj, prefix: str = "") -> list[tuple[str, str]]:
     return out
 
 
-def _parse_rational(s: str) -> Fraction:
-    return Fraction(s)
+def _parse_rational(x) -> Fraction:
+    """An exact rational from a decimal or "p/q" string, or from a JSON integer.
+
+    JSON floats and booleans are refused: a float has already lost its
+    decimal digits, and ``true`` is not a number.
+    """
+    if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
+        return Fraction(x)
+    raise ValueError(f'{x!r} is not a decimal or "p/q" string or an integer')
 
 
 def _parse_matrix(path: str) -> tuple[list[list[Fraction]], int]:
     with open(path) as fh:
         data = json.load(fh)
     try:
-        n = int(data["n"])
-        entries = [[_parse_rational(x) for x in row] for row in data["entries"]]
+        n, rows = data["n"], data["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f'matrix file needs "n" and an "entries" list of rows ({exc!r})') from exc
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError('"n" must be a JSON integer')
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError('"entries" must be a JSON array of row arrays')
+    entries = [[_parse_rational(x) for x in row] for row in rows]
     if len(entries) != n or any(len(r) != n for r in entries):
         raise ValueError("entries must form an n x n matrix")
     return entries, n

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import mpmath
 
 from .hirota import ASMatrix, _build_asms
-from .qkz import DyckPath, dyck_family
+from .qkz import DyckPath, _check_p, dyck_family
 from .report import VerifyReport
 from .ring import EnumerationBudgetError, RingMatrix, TauPoly, det
 from . import tee as tee_mod
@@ -170,8 +170,7 @@ def sfactor(L: int, p: int, precision: int = 256) -> mpmath.mpf:
         raise EnumerationBudgetError(f"gamma product budgeted to L <= {SFACTOR_MAX_L}")
     if precision < 128:
         raise ValueError("precision must be at least 128 bits")
-    if p < 0 or p > (L - 1) // 2:
-        raise ValueError("p out of range")
+    _check_p(L, p)
     with mpmath.workprec(precision):
         val = mpmath.mpf(2) ** (mpmath.mpf(2 * p * (L - p - 1)) / 3)
         for j in range(1, p + 1):

@@ -123,12 +123,29 @@ def tau2_det(matrix: Sequence[Sequence[Value]], tau2: Value) -> Value:
     With tau2 = -1 this is the ordinary determinant.  Interior zeros make the
     recurrence degenerate; the error then reports the failing point so
     callers can resample random inputs.
+
+    Domain with TauPoly entries: at tau2 = -1 any Laurent polynomials are
+    allowed.  At any other tau2 every interior entry (rows and columns
+    2..n-1) must be a single term c*tau^e or zero, since only interior
+    entries are ever divided by (Robbins-Rumsey) and a unit keeps every
+    intermediate a Laurent polynomial; any other interior entry raises
+    ValueError.  Rational entries have no such restriction.
     """
     n = len(matrix)
     if n > TAU2_DET_MAX_N:
         raise EnumerationBudgetError(f"deformed determinant budgeted to n <= {TAU2_DET_MAX_N}")
     if n == 0:
         return 1
+    tau2_poly = tau2 if isinstance(tau2, TauPoly) else TauPoly.from_coeff(tau2)
+    if any(isinstance(v, TauPoly) for row in matrix for v in row) and tau2_poly != TauPoly.from_coeff(-1):
+        for i in range(1, n - 1):
+            for j in range(1, n - 1):
+                v = matrix[i][j]
+                if isinstance(v, TauPoly) and len(v.terms) > 1:
+                    raise ValueError(
+                        f"interior entry ({i + 1},{j + 1}) = {v} is not a single term c*tau^e;"
+                        " at tau2 != -1 the recurrence may leave the Laurent ring"
+                    )
     state = oct_init(matrix, tau2)
     for k in range(2, n + 1):
         state = octahedron_step(state, k)

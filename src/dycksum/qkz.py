@@ -130,8 +130,7 @@ def omega_path(L: int, p: int) -> DyckPath:
     Pointwise the lowest member of the family: heights are the floor values
     rounded up to the parity forced by the step structure.
     """
-    if not 0 <= p <= (L - 1) // 2:
-        raise ValueError(f"p out of range for L={L}")
+    _check_p(L, p)
     floor = _floor_heights(L, p)
     h = []
     for i, f in enumerate(floor):
@@ -326,18 +325,18 @@ def integrand_factors(L: int) -> list[list[tuple[tuple[int, ...], int, int]]]:
     return factors
 
 
-def _expand_encoded(L: int, caps: tuple[int, ...]) -> tuple[int, dict[int, TauPoly]]:
-    """Expand the integrand with per-variable caps.
+@lru_cache(maxsize=None)
+def _integrand_table(L: int) -> tuple[int, dict[int, TauPoly]]:
+    """Expand the size-L integrand with every u-exponent capped at L - 2.
 
     Returns (bits, table) where table maps radix-encoded u-exponent vectors
     (bits per digit) to TauPoly coefficients.  Exponents and the tau degree
     are packed into one integer key so the inner loop is plain integer-dict
-    arithmetic.
+    arithmetic.  Built once per size: every psi_bar read of size L shares it.
     """
     n = L // 2
-    if n == 0:
-        return 1, {0: TauPoly.one()}
-    bits = max(int(c + 2).bit_length() for c in caps)
+    cap = L - 2
+    bits = (cap + 2).bit_length()
     shifts = [bits * i for i in range(n)]
     tau_shift = bits * n
 
@@ -351,9 +350,7 @@ def _expand_encoded(L: int, caps: tuple[int, ...]) -> tuple[int, dict[int, TauPo
     for fac in integrand_factors(L):
         mons = []
         for evec, taudeg, coef in fac:
-            touched = tuple(
-                (shifts[i], caps[i]) for i, e in enumerate(evec) if e
-            )
+            touched = tuple(shifts[i] for i, e in enumerate(evec) if e)
             mons.append((encode(evec, taudeg), touched, coef))
         # order factors by the highest variable they touch so intermediates
         # stay confined to a prefix of the variables for as long as possible
@@ -370,7 +367,7 @@ def _expand_encoded(L: int, caps: tuple[int, ...]) -> tuple[int, dict[int, TauPo
             for delta, touched, coef in mons:
                 nk = key + delta
                 ok = True
-                for shift, cap in touched:
+                for shift in touched:
                     if (nk >> shift) & mask > cap:
                         ok = False
                         break
@@ -391,20 +388,13 @@ def _expand_encoded(L: int, caps: tuple[int, ...]) -> tuple[int, dict[int, TauPo
     return bits, {u: TauPoly(t) for u, t in grouped.items()}
 
 
-@lru_cache(maxsize=8)
-def _integrand_table(L: int, caps: tuple[int, ...]) -> tuple[int, dict[int, TauPoly]]:
-    return _expand_encoded(L, caps)
+def integrand_multipoly(L: int) -> MultiPoly:
+    """Reference expansion through the public MultiPoly type (slow path).
 
-
-def _uniform_caps(L: int) -> tuple[int, ...]:
+    Uses the same uniform cap L - 2 per variable as ``_integrand_table``.
+    """
     n = L // 2
-    return ((L - 2,) * n) if n else ()
-
-
-def integrand_multipoly(L: int, caps: Sequence[int]) -> MultiPoly:
-    """Reference expansion through the public MultiPoly type (slow path)."""
-    n = L // 2
-    caps = tuple(caps)
+    caps = (L - 2,) * n
     acc = MultiPoly.one(n, caps)
     for fac in integrand_factors(L):
         terms = {}
@@ -430,7 +420,7 @@ def psi_bar(b: Sequence[int], L: int) -> TauPoly:
     AdmissibleSequence.from_b(b, L)  # validates range and monotonicity
     if n == 0:
         return TauPoly.one()
-    bits, table = _integrand_table(L, _uniform_caps(L))
+    bits, table = _integrand_table(L)
     key = 0
     for l, x in enumerate(b):
         key += (x - 1) << (bits * l)
@@ -478,53 +468,54 @@ class PsiVector:
 
 @lru_cache(maxsize=None)
 def solve_psi(L: int) -> PsiVector:
-    """Solve the full linear system relating psi_bar values to components.
+    """Solve for the components in one triangular pass over canonical rows.
 
-    Every nondecreasing admissible sequence contributes one equation.
-    Unknowns are eliminated greedily at unit pivots, so all arithmetic stays
-    in the Laurent ring, and afterwards every equation is re-checked against
-    the solved vector.  A stall or a residual mismatch raises
-    ConventionError.
+    The canonical row of alpha (``canonical_sequence``) has a unit
+    coefficient at alpha, and every other nonzero coefficient sits at a path
+    pointwise above alpha, hence later in lexicographic order.  Paths are
+    therefore solved from last to first, each from its own row, so all
+    arithmetic stays in the Laurent ring.  Afterwards every other
+    nondecreasing admissible equation is re-checked against the solved
+    vector (the canonical ones hold by construction).  A row without a unit
+    pivot, a coefficient at a path not yet solved, or a residual mismatch
+    raises ConventionError.
     """
     if L > SOLVE_MAX_L:
         raise EnumerationBudgetError(f"solve budgeted to L <= {SOLVE_MAX_L}")
     if L < 1:
         raise ValueError("L must be positive")
     paths = enumerate_dyck(L)
-    seqs = admissible_sequences(L)
-    rows = []
-    for seq in seqs:
-        coeffs = {a: c_coeff(seq, a) for a in paths}
-        coeffs = {a: c for a, c in coeffs.items() if not c.is_zero()}
-        rows.append((seq, coeffs, psi_bar(seq.b, L)))
-
     solved: dict[DyckPath, TauPoly] = {}
-    progress = True
-    while len(solved) < len(paths) and progress:
-        progress = False
-        for seq, coeffs, rhs in rows:
-            unknown = [a for a in coeffs if a not in solved]
-            if len(unknown) != 1:
+    canonical: set[tuple[int, ...]] = set()
+    for alpha in reversed(paths):
+        seq = canonical_sequence(alpha)
+        canonical.add(seq.a)
+        acc = psi_bar(seq.b, L)
+        pivot = None
+        for a in paths:
+            c = c_coeff(seq, a)
+            if c.is_zero():
                 continue
-            target = unknown[0]
-            unit = coeffs[target].as_unit()
-            if unit is None:
-                continue
-            e, sign = unit
-            acc = rhs
-            for a, c in coeffs.items():
-                if a is not target:
-                    acc = acc - c * solved[a]
-            solved[target] = (acc * sign).shift(-e)
-            progress = True
-    if len(solved) < len(paths):
-        raise ConventionError(f"system for L={L} did not resolve all components")
+            if a == alpha:
+                pivot = c.as_unit()
+            elif a in solved:
+                acc = acc - c * solved[a]
+            else:
+                raise ConventionError(f"canonical row of {alpha} is not triangular at {a} for L={L}")
+        if pivot is None:
+            raise ConventionError(f"canonical row of {alpha} has no unit pivot for L={L}")
+        e, sign = pivot
+        solved[alpha] = (acc * sign).shift(-e)
 
-    for seq, coeffs, rhs in rows:
+    for seq in admissible_sequences(L):
+        if seq.a in canonical:
+            continue
         acc = TauPoly.zero()
-        for a, c in coeffs.items():
-            acc = acc + c * solved[a]
-        if acc != rhs:
+        for a in paths:
+            c = c_coeff(seq, a)
+            if not c.is_zero():
+                acc = acc + c * solved[a]
+        if acc != psi_bar(seq.b, L):
             raise ConventionError(f"inconsistent equation at sequence a={seq.a} for L={L}")
 
     return PsiVector(L, solved)

@@ -10,15 +10,11 @@ variables onto a three-index bilinear lattice.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import comb
-from typing import Union
 
 from .report import VerifyReport
 from .ring import EnumerationBudgetError, RingMatrix, TauPoly, det
 from . import qkz
-
-TLike = Union[int, Fraction, TauPoly, str]
 
 TEE_MAX_L = 20  # largest L for tee and tee_via_U
 LEMMA2_MAX_P = 5  # verify_lemma2 expands p! symbolic terms
@@ -143,7 +139,7 @@ def _s_prefactor(L: int, p: int) -> int:
     return head * (head - 1) // 2
 
 
-def s_det(L: int, p: int, t: TLike) -> TauPoly:
+def s_det(L: int, p: int, t: qkz.TLike) -> TauPoly:
     """The t-parametrised determinant evaluating the partial sums.
 
     Entries are single-variable constant terms, scaled by the monomial the
@@ -151,8 +147,7 @@ def s_det(L: int, p: int, t: TLike) -> TauPoly:
     binomial forms are also evaluated and the two routes are asserted equal
     before returning.
     """
-    if not 0 <= p <= (L - 1) // 2:
-        raise ValueError(f"p out of range for L={L}")
+    qkz._check_p(L, p)
     tv = qkz._as_t(t)
     pt = qkz.ptilde(L, p)
     shift = 0 if L % 2 == 0 else 1

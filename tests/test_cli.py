@@ -63,6 +63,29 @@ def test_hirota_file_input(tmp_path, capout):
     assert json.loads(out)["value"] == "1"
 
 
+def test_hirota_rejects_loose_entries(tmp_path, capout):
+    # a string row, a JSON float, a boolean and a non-integer n are refused, not coerced
+    blobs = [
+        {"n": 2, "entries": [["1", "2"], "34"]},
+        {"n": 2, "entries": [["1", "2"], ["3", 0.1]]},
+        {"n": 2, "entries": [["1", "2"], ["3", True]]},
+        {"n": 2.7, "entries": [["1", "2"], ["3", "4"]]},
+        {"n": True, "entries": [["5"]]},
+    ]
+    for i, blob in enumerate(blobs):
+        path = tmp_path / f"m{i}.json"
+        path.write_text(json.dumps(blob))
+        code, out, _ = capout(["hirota", "--input", str(path), "--tau2", "-1"])
+        assert code == 2, blob
+        assert out == "", blob
+    # JSON integers stay accepted
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps({"n": 2, "entries": [[1, 2], [3, "4"]]}))
+    code, out, _ = capout(["hirota", "--input", str(path), "--tau2", "-1"])
+    assert code == 0
+    assert json.loads(out)["value"] == "-2"
+
+
 def test_fpl_output(capout):
     code, out, _ = capout(["fpl", "--L", "4", "--p", "1"])
     assert code == 0

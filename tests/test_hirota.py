@@ -95,6 +95,36 @@ def test_symbolic_laurent_exactness():
         assert isinstance(v, TauPoly) and not v.is_zero()
 
 
+def test_symbolic_entries_domain():
+    # a two-term interior entry at tau2 != -1 is refused before any division
+    two = lambda a, b: TauPoly({0: a, 2: b})  # noqa: E731
+    k = TauPoly.from_coeff
+    m = [[two(3, 2), k(2), k(3)], [two(-1, 2), two(-3, 2), k(-3)], [two(-1, 1), k(3), two(2, 2)]]
+    for tau2 in (Fraction(1, 2), TauPoly.monomial(2)):
+        with pytest.raises(ValueError, match="interior entry"):
+            tau2_det(m, tau2)
+    assert tau2_det(m, Fraction(-1)) == det(RingMatrix(m))
+    # single-term interiors with general boundary entries: evaluating the
+    # symbolic value at rational tau agrees with the ASM expansion there
+    rng = random.Random(11)
+    lam = Fraction(1, 2)
+    for n in (3, 4, 5):
+        for _ in range(3):
+            m = [
+                [
+                    TauPoly.monomial(rng.randint(-2, 3), rng.choice((-3, -2, -1, 1, 2, 3)))
+                    if 0 < i < n - 1 and 0 < j < n - 1
+                    else TauPoly({0: rng.randint(-3, 3), 2: rng.randint(1, 3)})
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+            v = tau2_det(m, lam)
+            for x in (Fraction(2), Fraction(-1, 3)):
+                mx = [[e.evaluate(x) for e in row] for row in m]
+                assert v.evaluate(x) == asm_expansion(mx, lam)
+
+
 def test_degenerate_reports_point():
     m = [[Fraction(0), Fraction(1), Fraction(1)],
          [Fraction(1), Fraction(0), Fraction(1)],

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from dycksum import qkz
 from dycksum.qkz import (
+    SOLVE_MAX_L,
     AdmissibleSequence,
+    ConventionError,
     DyckPath,
     EpsilonSequence,
     all_epsilon,
@@ -155,10 +158,18 @@ def test_c_coeff_peak_choice_irrelevant():
 
 
 def test_canonical_sequence_is_unit_row():
-    for L in range(2, 9):
-        for alpha in enumerate_dyck(L):
-            a = canonical_sequence(alpha)
-            assert c_coeff(a, alpha) == TauPoly.one()
+    # the order solve_psi relies on: each canonical row has coefficient 1 at
+    # alpha, and every other nonzero coefficient sits at a path pointwise
+    # above alpha, which comes later in enumerate_dyck
+    for L in range(1, 11):
+        paths = enumerate_dyck(L)
+        for i, alpha in enumerate(paths):
+            seq = canonical_sequence(alpha)
+            assert c_coeff(seq, alpha) == TauPoly.one()
+            for j, beta in enumerate(paths):
+                if j != i and not c_coeff(seq, beta).is_zero():
+                    assert j > i, (L, alpha, beta)
+                    assert all(x >= y for x, y in zip(beta.heights, alpha.heights)), (L, alpha, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +223,46 @@ def test_solve_budget():
         solve_psi(11)
 
 
+def test_integrand_table_built_once_per_size():
+    sizes = range(2, SOLVE_MAX_L + 1)
+    for L in sizes:
+        psi_bar(tuple(range(1, L // 2 + 1)), L)
+    misses = qkz._integrand_table.cache_info().misses
+    for L in sizes:
+        psi_bar(tuple(range(1, L // 2 + 1)), L)
+    assert qkz._integrand_table.cache_info().misses == misses
+
+
+def test_solve_rechecks_every_equation(monkeypatch):
+    # a perturbed non-canonical value is caught by the re-check
+    L = 6
+    canonical = {canonical_sequence(a).b for a in enumerate_dyck(L)}
+    target = next(s.b for s in qkz.admissible_sequences(L) if s.b not in canonical)
+    real_psi_bar = qkz.psi_bar
+
+    def perturbed(b, size):
+        value = real_psi_bar(b, size)
+        return value + TauPoly.one() if tuple(b) == target else value
+
+    monkeypatch.setattr(qkz, "psi_bar", perturbed)
+    with pytest.raises(ConventionError, match="inconsistent"):
+        solve_psi.__wrapped__(L)
+
+
+def test_solve_rejects_non_triangular_rows(monkeypatch):
+    real_c_coeff = qkz.c_coeff
+    monkeypatch.setattr(qkz, "c_coeff", lambda seq, a: real_c_coeff(seq, a) * 2)
+    with pytest.raises(ConventionError, match="unit pivot"):
+        solve_psi.__wrapped__(4)
+    monkeypatch.setattr(qkz, "c_coeff", lambda seq, a: TauPoly.one())
+    with pytest.raises(ConventionError, match="not triangular"):
+        solve_psi.__wrapped__(4)
+
+
 def test_fast_expansion_matches_multipoly():
     # the packed-integer expansion agrees with the public MultiPoly route
     for L in (2, 3, 4, 5, 6):
-        n = L // 2
-        caps = ((L - 2,) * n) if n else ()
-        ref = integrand_multipoly(L, caps)
+        ref = integrand_multipoly(L)
         for b in _all_b(L):
             e = tuple(x - 1 for x in b)
             assert psi_bar(b, L) == coeff_extract(ref, e)
