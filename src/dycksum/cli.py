@@ -77,15 +77,10 @@ def verify_hirota_suite(seed: int) -> VerifyReport:
         ]
 
     for n in range(2, 6):
-        done = 0
-        while done < 100:
+        for _ in range(100):
             m = rmat(n)
-            try:
-                v = hirota.tau2_det(m, Fraction(-1))
-            except ZeroDivisionError:
-                continue
+            v = hirota.tau2_det(m, Fraction(-1))
             rep.record(v == det(RingMatrix(m)), {"law": "tau2=-1 is det", "n": n})
-            done += 1
     for n in range(2, 5):
         done = 0
         while done < 50:
@@ -94,7 +89,7 @@ def verify_hirota_suite(seed: int) -> VerifyReport:
             try:
                 v = hirota.tau2_det(m, lam)
             except ZeroDivisionError:
-                continue
+                continue  # a zero interior entry can be a pole at this lam
             rep.record(v == hirota.asm_expansion(m, lam), {"law": "asm oracle", "n": n})
             done += 1
     return rep
@@ -133,6 +128,31 @@ def verify_lemma1(Lmax: int) -> VerifyReport:
                 sorted(covered) == sorted(fam.members),
                 {"L": L, "p": p, "law": "disjoint union"},
             )
+    return rep
+
+
+def verify_equations(Lmax: int) -> VerifyReport:
+    """Every non-canonical nondecreasing admissible equation against the solve.
+
+    ``qkz.solve_psi`` reads only the canonical rows; for every L <= Lmax
+    each other row sum(c_coeff(a, alpha) psi_alpha) must equal psi_bar at
+    the same sequence.  Most of those sequences exceed the per-variable caps
+    of the components' table, so this suite reads the uniform-cap tables.
+    """
+    rep = VerifyReport("equations", {"max_L": Lmax})
+    for L in range(1, Lmax + 1):
+        psi = qkz.solve_psi(L)
+        paths = qkz.enumerate_dyck(L)
+        canonical = {qkz.canonical_sequence(alpha).a for alpha in paths}
+        for seq in qkz.admissible_sequences(L):
+            if seq.a in canonical:
+                continue
+            total = TauPoly.zero()
+            for alpha in paths:
+                c = qkz.c_coeff(seq, alpha)
+                if not c.is_zero():
+                    total = total + c * psi[alpha]
+            rep.record(total == qkz.psi_bar(seq.b, L), {"L": L, "a": list(seq.a)})
     return rep
 
 
@@ -249,6 +269,7 @@ def verify_sums(Lmax: int) -> VerifyReport:
 
 SUITES = {
     "ring": lambda max_L, seed: verify_ring(seed),
+    "equations": lambda max_L, seed: verify_equations(min(max_L, qkz.SOLVE_MAX_L)),
     "prop1": lambda max_L, seed: tee.verify_prop1(min(max_L, qkz.SOLVE_MAX_L)),
     "trecur": lambda max_L, seed: tee.verify_trecur(max_L),
     "lemma1": lambda max_L, seed: verify_lemma1(min(max_L, 8)),

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
 from typing import Callable, Sequence, Union
 
-from .ring import EnumerationBudgetError, TauPoly, _norm_coeff
+from .ring import EnumerationBudgetError, ExactDivisionError, TauPoly, _int_div, _norm_coeff
 
 Value = Union[int, Fraction, TauPoly]
 
@@ -34,6 +35,14 @@ class DegenerateDivisionError(ZeroDivisionError):
         self.point = (level, i, j)
 
 
+class ExpansionPoleError(ValueError):
+    """A zero entry sits at a -1 cell of an ASM whose weight does not vanish."""
+
+
+def _rational_div(a: Value, b: Value) -> Value:
+    return _norm_coeff(Fraction(a, b))
+
+
 @dataclass
 class OctState:
     """Rolling solution of the recurrence for one boundary matrix.
@@ -41,6 +50,8 @@ class OctState:
     ``layers[k]`` maps corner pairs (R, C), k <= R, C <= n, to the layer-k
     values.  Only the two most recent layers are retained unless
     ``keep_history`` is set.  ``level`` is the highest populated layer.
+    ``div`` is the exact division of the tower's value domain, fixed once
+    by ``oct_init``.
     """
 
     n: int
@@ -48,6 +59,7 @@ class OctState:
     layers: dict[int, dict[tuple[int, int], Value]]
     level: int
     keep_history: bool = False
+    div: Callable[[Value, Value], Value] = _rational_div
 
     def value(self, k: int, R: int, C: int) -> Value:
         return self.layers[k][(R, C)]
@@ -62,14 +74,22 @@ class OctState:
 
 
 def oct_init(matrix: Sequence[Sequence[Value]], tau2: Value, keep_history: bool = False) -> OctState:
-    """Boundary layers: layer 0 all ones, layer 1 the matrix itself."""
+    """Boundary layers: layer 0 all ones, layer 1 the matrix itself.
+
+    Fixes the value domain of the whole tower: Laurent polynomials if tau2
+    or some entry is a TauPoly; integers with checked division at tau2 = -1
+    with integer entries, where every value is an integer minor (Dodgson
+    condensation); rationals otherwise.
+    """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
+    tau2 = _norm_coeff(tau2)
     layer0 = {(R, C): 1 for R in range(0, n + 1) for C in range(0, n + 1)}
     layer1 = {
         (R, C): _norm_coeff(matrix[R - 1][C - 1]) for R in range(1, n + 1) for C in range(1, n + 1)
     }
+    div = _rational_div
     if isinstance(tau2, TauPoly) or any(isinstance(v, TauPoly) for v in layer1.values()):
         layer0 = {k: TauPoly.one() for k in layer0}
         layer1 = {
@@ -77,7 +97,10 @@ def oct_init(matrix: Sequence[Sequence[Value]], tau2: Value, keep_history: bool 
         }
         if not isinstance(tau2, TauPoly):
             tau2 = TauPoly.from_coeff(tau2)
-    return OctState(n=n, tau2=tau2, layers={0: layer0, 1: layer1}, level=1, keep_history=keep_history)
+        div = TauPoly.exact_div
+    elif tau2 == -1 and all(isinstance(v, int) for v in layer1.values()):
+        div = _int_div
+    return OctState(n, tau2, {0: layer0, 1: layer1}, 1, keep_history, div)
 
 
 def octahedron_step(state: OctState, k: int) -> OctState:
@@ -86,7 +109,8 @@ def octahedron_step(state: OctState, k: int) -> OctState:
     Divisions are exact by the Laurent property of the recurrence; an inexact
     one raises ExactDivisionError (an internal bug, not a data condition),
     while a zero divisor raises DegenerateDivisionError with the failing
-    lattice point in rotated coordinates.
+    lattice point in rotated coordinates.  The division is the one
+    ``oct_init`` fixed for the tower's value domain.
     """
     if k != state.level + 1:
         raise ValueError(f"expected step to layer {state.level + 1}, got {k}")
@@ -95,12 +119,7 @@ def octahedron_step(state: OctState, k: int) -> OctState:
     prev = state.layers[k - 1]
     prev2 = state.layers[k - 2]
     tau2 = state.tau2
-    # oct_init fixed one domain for the whole tower: TauPoly, or int/Fraction
-    if isinstance(tau2, TauPoly):
-        div = TauPoly.exact_div
-    else:
-        def div(a: Value, b: Value) -> Value:
-            return _norm_coeff(Fraction(a, b))
+    div = state.div
     new: dict[tuple[int, int], Value] = {}
     for R in range(k, state.n + 1):
         for C in range(k, state.n + 1):
@@ -111,45 +130,167 @@ def octahedron_step(state: OctState, k: int) -> OctState:
             new[(R, C)] = div(num, den)
     layers = dict(state.layers) if state.keep_history else {k - 1: prev}
     layers[k] = new
-    return OctState(state.n, tau2, layers, k, state.keep_history)
+    return OctState(state.n, tau2, layers, k, state.keep_history, div)
 
 
 TAU2_DET_MAX_N = 12
 
 
+class _EpsSeries:
+    """Power series in eps whose coefficients at eps^0 .. eps^(len(c)-1) are known.
+
+    The value type of a tower run on matrix + eps*E.  A product is known as
+    far as both factors determine it, so a factor with leading zeros keeps
+    precision; a quotient by a series of valuation v loses v terms.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, c: list):
+        self.c = c
+
+    def valuation(self) -> int:
+        for i, x in enumerate(self.c):
+            if x:
+                return i
+        return len(self.c)
+
+    def __bool__(self) -> bool:
+        return any(self.c)
+
+    def __add__(self, other: "_EpsSeries") -> "_EpsSeries":
+        return _EpsSeries([x + y for x, y in zip(self.c, other.c)])
+
+    def __rmul__(self, scalar: Value) -> "_EpsSeries":
+        return _EpsSeries([scalar * x for x in self.c])
+
+    def __mul__(self, other: "_EpsSeries") -> "_EpsSeries":
+        a, b = self.c, other.c
+        # a nonzero eps^0 term, the usual case, needs no valuation scan
+        va = 0 if a and a[0] else self.valuation()
+        vb = 0 if b and b[0] else other.valuation()
+        size = min(len(a) + vb, len(b) + va)
+        out = [0] * size
+        for i in range(va, min(len(a), size - vb)):
+            x = a[i]
+            if x:
+                for j, y in enumerate(b[vb : size - i], vb):
+                    out[i + j] += x * y
+        return _EpsSeries(out)
+
+
+def _series_div(coeff_div: Callable[[Value, Value], Value]) -> Callable[[_EpsSeries, _EpsSeries], _EpsSeries]:
+    """Exact series division with coefficient division ``coeff_div`` (den is nonzero)."""
+
+    def div(num: _EpsSeries, den: _EpsSeries) -> _EpsSeries:
+        v = den.valuation()
+        if any(num.c[:v]):
+            raise ExactDivisionError("numerator vanishes to lower order than the divisor")
+        n, d, lead = num.c, den.c, den.c[v]
+        q: list = []
+        for j in range(min(len(n), len(d)) - v):
+            acc = n[j + v]
+            for i in range(j):
+                acc -= q[i] * d[j + v - i]
+            q.append(coeff_div(acc, lead))
+        return _EpsSeries(q)
+
+    return div
+
+
+def _perturbed_value(base: OctState, stuck: DegenerateDivisionError) -> Value:
+    """eps^0 term of the tower of ``base`` run on matrix + eps*E, E = Pascal's C(i+j, i).
+
+    At tau2 = -1 every tower value is the ordinary determinant of a
+    connected minor, a polynomial in eps whose top coefficient is a minor
+    of E.  Pascal's matrix is totally positive, so no divisor vanishes
+    identically; the divisor of level k, a (k-2) x (k-2) minor, has
+    valuation at most k - 2, so (n-1)(n-2)/2 + 1 terms always suffice.  The
+    precision starts at 2 terms and doubles until every divisor shows its
+    leading term and the top value keeps its eps^0 term.  At other tau2 the
+    perturbed tower can stay degenerate only where a deformed connected
+    minor of E vanishes at that tau2; past n^2 terms this re-raises
+    ``stuck``.  Coefficients live in the domain ``oct_init`` fixed for base.
+    """
+    n, div = base.n, _series_div(base.div)
+    prec = 2
+    while prec <= n * n:
+        pad = [0] * (prec - 2)
+        layer0 = {key: _EpsSeries([v, 0] + pad) for key, v in base.layers[0].items()}
+        layer1 = {(R, C): _EpsSeries([v, comb(R + C - 2, R - 1)] + pad) for (R, C), v in base.layers[1].items()}
+        try:
+            top = _top(OctState(n, base.tau2, {0: layer0, 1: layer1}, 1, False, div)).c
+        except DegenerateDivisionError:
+            top = []
+        if top:
+            return _norm_coeff(top[0])
+        prec *= 2
+    raise stuck
+
+
+def _top(state: OctState) -> Value:
+    """Run a tower from its boundary layers to the top value."""
+    for k in range(state.level + 1, state.n + 1):
+        state = octahedron_step(state, k)
+    return state.value(state.n, state.n, state.n)
+
+
 def tau2_det(matrix: Sequence[Sequence[Value]], tau2: Value) -> Value:
     """Deformed determinant: the top value of the recurrence tower.
 
-    With tau2 = -1 this is the ordinary determinant.  Interior zeros make the
-    recurrence degenerate; the error then reports the failing point so
-    callers can resample random inputs.
+    With tau2 = -1 this is the ordinary determinant.  Rational input:
+      * at tau2 = -1 every matrix has a value.  Each row is scaled to
+        integers (the value has degree one in each row, since every ASM row
+        sums to 1), the tower runs over the integers, and the value is
+        divided by the product of the scales.
+      * a zero divisor reruns the tower on matrix + eps*E over truncated
+        power series in eps (``_perturbed_value``) and returns the eps^0
+        term.
+      * at any other tau2 a zero interior entry (rows and columns 2..n-1)
+        can be a pole, since interior entries are exactly the denominators
+        of the ASM expansion (Robbins-Rumsey); it raises
+        DegenerateDivisionError with the failing point, as does a
+        perturbed tower that stays degenerate (see ``_perturbed_value``).
 
-    Domain with TauPoly entries: at tau2 = -1 any Laurent polynomials are
-    allowed.  At any other tau2 every interior entry (rows and columns
-    2..n-1) must be a single term c*tau^e or zero, since only interior
-    entries are ever divided by (Robbins-Rumsey) and a unit keeps every
-    intermediate a Laurent polynomial; any other interior entry raises
-    ValueError.  Rational entries have no such restriction.
+    Domain with TauPoly entries or tau2: at tau2 = -1 any Laurent
+    polynomials are allowed.  At any other tau2 every interior entry must be
+    a single term c*tau^e or zero, since a unit keeps every intermediate a
+    Laurent polynomial; any other interior entry raises ValueError.  A zero
+    divisor raises DegenerateDivisionError; this domain has no fallback.
     """
     n = len(matrix)
     if n > TAU2_DET_MAX_N:
         raise EnumerationBudgetError(f"deformed determinant budgeted to n <= {TAU2_DET_MAX_N}")
     if n == 0:
         return 1
-    tau2_poly = tau2 if isinstance(tau2, TauPoly) else TauPoly.from_coeff(tau2)
-    if any(isinstance(v, TauPoly) for row in matrix for v in row) and tau2_poly != TauPoly.from_coeff(-1):
-        for i in range(1, n - 1):
-            for j in range(1, n - 1):
-                v = matrix[i][j]
-                if isinstance(v, TauPoly) and len(v.terms) > 1:
-                    raise ValueError(
-                        f"interior entry ({i + 1},{j + 1}) = {v} is not a single term c*tau^e;"
-                        " at tau2 != -1 the recurrence may leave the Laurent ring"
-                    )
-    state = oct_init(matrix, tau2)
-    for k in range(2, n + 1):
-        state = octahedron_step(state, k)
-    return state.value(n, n, n)
+    if isinstance(tau2, TauPoly) or any(isinstance(v, TauPoly) for row in matrix for v in row):
+        tau2_poly = tau2 if isinstance(tau2, TauPoly) else TauPoly.from_coeff(tau2)
+        if tau2_poly != TauPoly.from_coeff(-1):
+            for i in range(1, n - 1):
+                for j in range(1, n - 1):
+                    v = matrix[i][j]
+                    if isinstance(v, TauPoly) and len(v.terms) > 1:
+                        raise ValueError(
+                            f"interior entry ({i + 1},{j + 1}) = {v} is not a single term c*tau^e;"
+                            " at tau2 != -1 the recurrence may leave the Laurent ring"
+                        )
+        return _top(oct_init(matrix, tau2))
+    scale = 1
+    if tau2 == -1:
+        rows = []
+        for row in matrix:
+            d = lcm(*(v.denominator for v in row))
+            rows.append([v.numerator * (d // v.denominator) for v in row])
+            scale *= d
+        matrix = rows
+    base = oct_init(matrix, tau2)
+    try:
+        value = _top(base)
+    except DegenerateDivisionError as exc:
+        if tau2 != -1 and any(not matrix[i][j] for i in range(1, n - 1) for j in range(1, n - 1)):
+            raise
+        value = _perturbed_value(base, exc)
+    return _norm_coeff(Fraction(value, scale)) if scale != 1 else value
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +411,11 @@ def asm_expansion(matrix: Sequence[Sequence[Value]], lam: Value) -> Value:
     """Deformed determinant as a weighted sum over alternating sign matrices.
 
     Each ASM B contributes lam^inv(B) (1 + 1/lam)^minus(B) times the product
-    of matrix entries at the +1 cells divided by those at the -1 cells.
-    Requires nonzero entries wherever some ASM has a -1, and nonzero lam.
+    of matrix entries at the +1 cells divided by those at the -1 cells.  At
+    lam = -1 every B with a -1 entry has weight 0 and is skipped, so any
+    matrix is allowed and the sum is the determinant.  At any other lam a
+    zero entry at a -1 cell is a pole and raises ExpansionPoleError; lam
+    must be nonzero.
     """
     n = len(matrix)
     if n > ASM_EXPANSION_MAX_N:
@@ -282,11 +426,15 @@ def asm_expansion(matrix: Sequence[Sequence[Value]], lam: Value) -> Value:
     total = Fraction(0)
     for B in enumerate_asm(n):
         term = lam ** B.inversion_number() * (1 + 1 / lam) ** B.minus_count()
+        if not term:
+            continue
         for i, row in enumerate(B.rows):
             for j, v in enumerate(row):
                 if v == 1:
                     term *= Fraction(matrix[i][j])
                 elif v == -1:
+                    if not matrix[i][j]:
+                        raise ExpansionPoleError(f"zero entry at ({i + 1},{j + 1}), a -1 cell, at lam = {lam}")
                     term /= Fraction(matrix[i][j])
         total += term
     return _norm_coeff(total)

@@ -325,18 +325,31 @@ def integrand_factors(L: int) -> list[list[tuple[tuple[int, ...], int, int]]]:
     return factors
 
 
-@lru_cache(maxsize=None)
-def _integrand_table(L: int) -> tuple[int, dict[int, TauPoly]]:
-    """Expand the size-L integrand with every u-exponent capped at L - 2.
+def _dyck_caps(L: int) -> tuple[int, ...]:
+    """Per-variable exponent caps 2l + (L mod 2), l = 0..floor(L/2)-1.
 
-    Returns (bits, table) where table maps radix-encoded u-exponent vectors
-    (bits per digit) to TauPoly coefficients.  Exponents and the tau degree
-    are packed into one integer key so the inner loop is plain integer-dict
-    arithmetic.  Built once per size: every psi_bar read of size L shares it.
+    Each cap is the largest exponent b_l - 1 over every canonical sequence
+    (``canonical_sequence``) and every epsilon sequence (``EpsilonSequence``)
+    of size L, so the components and the partial sums read only this table.
+    The last cap equals the uniform L - 2; the others are smaller.
+    """
+    return tuple(2 * l + L % 2 for l in range(L // 2))
+
+
+@lru_cache(maxsize=None)
+def _integrand_table(L: int, caps: tuple[int, ...]) -> tuple[int, dict[int, TauPoly]]:
+    """Expand the size-L integrand with the exponent of u_l capped at caps[l].
+
+    Every factor has nonnegative exponents, so dropping a monomial beyond a
+    cap never changes a coefficient below the caps: tables with different
+    caps agree wherever both have a key.  Returns (bits, table) where table
+    maps radix-encoded u-exponent vectors (bits per digit) to TauPoly
+    coefficients.  Exponents and the tau degree are packed into one integer
+    key so the inner loop is plain integer-dict arithmetic.  Built once per
+    (size, caps): every psi_bar read with those caps shares it.
     """
     n = L // 2
-    cap = L - 2
-    bits = (cap + 2).bit_length()
+    bits = (max(caps) + 2).bit_length()
     shifts = [bits * i for i in range(n)]
     tau_shift = bits * n
 
@@ -350,7 +363,7 @@ def _integrand_table(L: int) -> tuple[int, dict[int, TauPoly]]:
     for fac in integrand_factors(L):
         mons = []
         for evec, taudeg, coef in fac:
-            touched = tuple(shifts[i] for i, e in enumerate(evec) if e)
+            touched = tuple((shifts[i], caps[i]) for i, e in enumerate(evec) if e)
             mons.append((encode(evec, taudeg), touched, coef))
         # order factors by the highest variable they touch so intermediates
         # stay confined to a prefix of the variables for as long as possible
@@ -367,7 +380,7 @@ def _integrand_table(L: int) -> tuple[int, dict[int, TauPoly]]:
             for delta, touched, coef in mons:
                 nk = key + delta
                 ok = True
-                for shift in touched:
+                for shift, cap in touched:
                     if (nk >> shift) & mask > cap:
                         ok = False
                         break
@@ -391,7 +404,7 @@ def _integrand_table(L: int) -> tuple[int, dict[int, TauPoly]]:
 def integrand_multipoly(L: int) -> MultiPoly:
     """Reference expansion through the public MultiPoly type (slow path).
 
-    Uses the same uniform cap L - 2 per variable as ``_integrand_table``.
+    Uses the uniform cap L - 2 per variable, the largest cap ``psi_bar`` reads.
     """
     n = L // 2
     caps = (L - 2,) * n
@@ -408,8 +421,10 @@ def integrand_multipoly(L: int) -> MultiPoly:
 def psi_bar(b: Sequence[int], L: int) -> TauPoly:
     """Constant-term value indexed by the nondecreasing sequence b.
 
-    Expands the size-L integrand once per size (cached) and reads the
-    coefficient of the monomial with exponents b_l - 1.
+    Reads the coefficient of the monomial with exponents b_l - 1 from the
+    size-L integrand, expanded once per size and caps (cached).  The caps
+    are ``_dyck_caps(L)`` when b fits under them, which every canonical and
+    epsilon sequence does, and the uniform L - 2 otherwise.
     """
     if L > SOLVE_MAX_L:
         raise EnumerationBudgetError(f"constant terms budgeted to L <= {SOLVE_MAX_L}")
@@ -420,7 +435,10 @@ def psi_bar(b: Sequence[int], L: int) -> TauPoly:
     AdmissibleSequence.from_b(b, L)  # validates range and monotonicity
     if n == 0:
         return TauPoly.one()
-    bits, table = _integrand_table(L)
+    caps = _dyck_caps(L)
+    if any(x - 1 > cap for x, cap in zip(b, caps)):
+        caps = (L - 2,) * n
+    bits, table = _integrand_table(L, caps)
     key = 0
     for l, x in enumerate(b):
         key += (x - 1) << (bits * l)
@@ -474,11 +492,11 @@ def solve_psi(L: int) -> PsiVector:
     coefficient at alpha, and every other nonzero coefficient sits at a path
     pointwise above alpha, hence later in lexicographic order.  Paths are
     therefore solved from last to first, each from its own row, so all
-    arithmetic stays in the Laurent ring.  Afterwards every other
-    nondecreasing admissible equation is re-checked against the solved
-    vector (the canonical ones hold by construction).  A row without a unit
-    pivot, a coefficient at a path not yet solved, or a residual mismatch
-    raises ConventionError.
+    arithmetic stays in the Laurent ring and only the canonical values are
+    read.  A row without a unit pivot or with a coefficient at a path not
+    yet solved raises ConventionError.  The other nondecreasing admissible
+    equations are checked against the result by ``verify --suite
+    equations`` (``cli.verify_equations``).
     """
     if L > SOLVE_MAX_L:
         raise EnumerationBudgetError(f"solve budgeted to L <= {SOLVE_MAX_L}")
@@ -486,10 +504,8 @@ def solve_psi(L: int) -> PsiVector:
         raise ValueError("L must be positive")
     paths = enumerate_dyck(L)
     solved: dict[DyckPath, TauPoly] = {}
-    canonical: set[tuple[int, ...]] = set()
     for alpha in reversed(paths):
         seq = canonical_sequence(alpha)
-        canonical.add(seq.a)
         acc = psi_bar(seq.b, L)
         pivot = None
         for a in paths:
@@ -506,17 +522,6 @@ def solve_psi(L: int) -> PsiVector:
             raise ConventionError(f"canonical row of {alpha} has no unit pivot for L={L}")
         e, sign = pivot
         solved[alpha] = (acc * sign).shift(-e)
-
-    for seq in admissible_sequences(L):
-        if seq.a in canonical:
-            continue
-        acc = TauPoly.zero()
-        for a in paths:
-            c = c_coeff(seq, a)
-            if not c.is_zero():
-                acc = acc + c * solved[a]
-        if acc != psi_bar(seq.b, L):
-            raise ConventionError(f"inconsistent equation at sequence a={seq.a} for L={L}")
 
     return PsiVector(L, solved)
 

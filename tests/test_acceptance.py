@@ -183,15 +183,9 @@ def test_criterion_09_deformed_determinant_oracles():
         ]
 
     for n in range(2, 6):
-        done = 0
-        while done < 100:
+        for _ in range(100):
             m = rmat(n)
-            try:
-                v = hirota.tau2_det(m, Fraction(-1))
-            except ZeroDivisionError:
-                continue
-            assert v == det(RingMatrix(m))
-            done += 1
+            assert hirota.tau2_det(m, Fraction(-1)) == det(RingMatrix(m))
     for n in range(2, 5):
         done = 0
         while done < 50:

@@ -63,6 +63,14 @@ def test_hirota_file_input(tmp_path, capout):
     assert json.loads(out)["value"] == "1"
 
 
+def test_hirota_zero_connected_minor(tmp_path, capout):
+    # the central 2x2 connected minor is zero at tau2 = -1; the value still exists
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 4, "entries": [[1, 2, 3, 4], [5, 1, 1, 7], [2, 1, 1, 3], [9, 4, 8, 1]]}))
+    code, out, _ = capout(["hirota", "--input", str(path), "--tau2", "-1"])
+    assert (code, out) == (0, '{"n":4,"tau2":"-1","value":"-61"}\n')
+
+
 def test_hirota_rejects_loose_entries(tmp_path, capout):
     # a string row, a JSON float, a boolean and a non-integer n are refused, not coerced
     blobs = [

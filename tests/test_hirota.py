@@ -11,6 +11,7 @@ from dycksum.hirota import (
     ASMatrix,
     DegenerateDivisionError,
     EnumerationBudgetError,
+    ExpansionPoleError,
     asm_expansion,
     enumerate_asm,
     oct_init,
@@ -51,15 +52,9 @@ def test_single_entry():
 def test_reduces_to_determinant():
     rng = random.Random(12)
     for n in range(2, 6):
-        done = 0
-        while done < 100:
-            m = rmat(rng, n)
-            try:
-                v = tau2_det(m, Fraction(-1))
-            except ZeroDivisionError:
-                continue
-            assert v == det(RingMatrix(m))
-            done += 1
+        for _ in range(100):
+            m = rmat(rng, n)  # zero entries and zero minors included
+            assert tau2_det(m, Fraction(-1)) == det(RingMatrix(m))
 
 
 def test_matches_asm_expansion():
@@ -133,6 +128,103 @@ def test_degenerate_reports_point():
     with pytest.raises(DegenerateDivisionError) as exc:
         tau2_det(m, Fraction(1))
     assert exc.value.point[0] == 3
+
+
+# central 2x2 connected minor [[1,1],[1,1]] vanishes at tau2 = -1; det = -61
+ZERO_MINOR_4X4 = [[1, 2, 3, 4], [5, 1, 1, 7], [2, 1, 1, 3], [9, 4, 8, 1]]
+
+
+def fraction_elimination(m):
+    """Determinant by Gaussian elimination over Fraction with row pivoting."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n, value = len(a), Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            value = -value
+        value *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return value
+
+
+def test_zero_connected_minor_gets_its_value():
+    m = [[Fraction(x) for x in row] for row in ZERO_MINOR_4X4]
+    assert tau2_det(m, Fraction(-1)) == -61 == det(RingMatrix(ZERO_MINOR_4X4))
+    for lam in (Fraction(-1), Fraction(1), Fraction(2, 3), Fraction(-5, 2)):
+        assert tau2_det(m, lam) == asm_expansion(m, lam), lam
+
+
+def _nonzero(rng):
+    return Fraction(rng.choice([v for v in range(-9, 10) if v]), rng.randint(1, 5))
+
+
+def _planted(rng, n, lam):
+    """Nonzero-entry n x n matrix with one connected k x k minor (2 <= k < n) zero at lam.
+
+    The deformed minor is linear in the block's bottom-right corner entry,
+    never a -1 cell of an ASM, so solving for that entry plants the zero.
+    """
+    while True:
+        m = [[_nonzero(rng) for _ in range(n)] for _ in range(n)]
+        k = rng.randint(2, n - 1)
+        r0, c0 = rng.randint(0, n - k), rng.randint(0, n - k)
+        corner = (r0 + k - 1, c0 + k - 1)
+
+        def minor(x):
+            m[corner[0]][corner[1]] = x
+            block = [row[c0 : c0 + k] for row in m[r0 : r0 + k]]
+            return fraction_elimination(block) if lam == -1 else asm_expansion(block, lam)
+
+        at0 = Fraction(minor(Fraction(0)))
+        slope = minor(Fraction(1)) - at0
+        if slope and at0:
+            m[corner[0]][corner[1]] = -at0 / slope
+            return m
+
+
+def test_planted_zero_minors_match_oracles():
+    rng = random.Random(77)
+    checked = 0
+    for n in range(4, 13):
+        for _ in range(28):
+            m = _planted(rng, n, -1)
+            assert tau2_det(m, Fraction(-1)) == fraction_elimination(m), m
+            checked += 1
+    for n in (4, 5):
+        for _ in range(30):
+            lam = Fraction(rng.randint(1, 9), rng.randint(1, 5)) * rng.choice((1, -1))
+            m = _planted(rng, n, lam)
+            assert tau2_det(m, lam) == asm_expansion(m, lam), (m, lam)
+            checked += 1
+    assert checked >= 300
+
+
+def test_zero_interior_at_minus_one():
+    # tau2_det used to stop here; the expansion divided 0 by the zero -1 cell
+    m = [
+        [Fraction(4, 3), Fraction(-2), Fraction(-3, 2), Fraction(6)],
+        [Fraction(7, 5), Fraction(7, 5), Fraction(0), Fraction(-2)],
+        [Fraction(1), Fraction(3, 2), Fraction(-3, 2), Fraction(5, 2)],
+        [Fraction(-2), Fraction(4), Fraction(5, 3), Fraction(-3)],
+    ]
+    assert tau2_det(m, Fraction(-1)) == det(RingMatrix(m)) == asm_expansion(m, Fraction(-1))
+    with pytest.raises(DegenerateDivisionError):
+        tau2_det(m, Fraction(2))
+    with pytest.raises(ExpansionPoleError, match=r"\(2,3\)"):
+        asm_expansion(m, Fraction(2))
+    # every entry zero but the anti-diagonal, and an all-zero interior
+    rng = random.Random(5)
+    for n in range(2, 9):
+        for _ in range(6):
+            z = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+            assert tau2_det(z, Fraction(-1)) == fraction_elimination(z), z
+    anti = [[Fraction(int(i + j == 4)) for j in range(5)] for i in range(5)]
+    assert tau2_det(anti, Fraction(-1)) == fraction_elimination(anti) == 1
 
 
 def test_octahedron_step_guards():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dycksum import qkz
+from dycksum import cli, qkz
 from dycksum.qkz import (
     SOLVE_MAX_L,
     AdmissibleSequence,
@@ -233,20 +233,24 @@ def test_integrand_table_built_once_per_size():
     assert qkz._integrand_table.cache_info().misses == misses
 
 
-def test_solve_rechecks_every_equation(monkeypatch):
-    # a perturbed non-canonical value is caught by the re-check
+def test_equations_suite_rechecks_every_equation(monkeypatch, capsys):
+    # solve_psi reads only canonical rows; verify --suite equations checks
+    # every other nondecreasing equation, and a perturbed value fails there
     L = 6
+    report = cli.verify_equations(L)
+    assert report.passed and report.checked == 4 + 5 + 30
     canonical = {canonical_sequence(a).b for a in enumerate_dyck(L)}
-    target = next(s.b for s in qkz.admissible_sequences(L) if s.b not in canonical)
+    target = next(s for s in qkz.admissible_sequences(L) if s.b not in canonical)
     real_psi_bar = qkz.psi_bar
 
     def perturbed(b, size):
         value = real_psi_bar(b, size)
-        return value + TauPoly.one() if tuple(b) == target else value
+        return value + TauPoly.one() if tuple(b) == target.b else value
 
     monkeypatch.setattr(qkz, "psi_bar", perturbed)
-    with pytest.raises(ConventionError, match="inconsistent"):
-        solve_psi.__wrapped__(L)
+    assert cli.verify_equations(L).failures == [{"L": L, "a": list(target.a)}]
+    assert cli.run(["verify", "--suite", "equations", "--max-L", str(L)]) == 1
+    assert '"passed":false' in capsys.readouterr().out
 
 
 def test_solve_rejects_non_triangular_rows(monkeypatch):
@@ -257,6 +261,43 @@ def test_solve_rejects_non_triangular_rows(monkeypatch):
     monkeypatch.setattr(qkz, "c_coeff", lambda seq, a: TauPoly.one())
     with pytest.raises(ConventionError, match="not triangular"):
         solve_psi.__wrapped__(4)
+
+
+def test_dyck_caps_are_the_largest_read_exponents():
+    # 2l + (L mod 2) is the largest b_l - 1 over the canonical and epsilon sequences
+    for L in range(2, 15):
+        n = L // 2
+        seqs = [canonical_sequence(a).b for a in enumerate_dyck(L)]
+        seqs += [e.b_sequence(L, p) for p in range(0, (L - 1) // 2 + 1) for e in all_epsilon(p)]
+        largest = tuple(max(b[l] - 1 for b in seqs) for l in range(n))
+        assert qkz._dyck_caps(L) == largest, L
+
+
+def test_components_and_sums_skip_the_uniform_table():
+    qkz._integrand_table.cache_clear()
+    solve_psi.__wrapped__(10)
+    for p in range(0, 5):
+        partial_sum_eps(10, p, Fraction(3, 2))
+    assert qkz._integrand_table.cache_info().misses == 1
+    qkz._integrand_table(10, qkz._dyck_caps(10))  # the one table built
+    assert qkz._integrand_table.cache_info().misses == 1
+
+
+def test_dyck_table_agrees_with_uniform_table():
+    for L in range(2, SOLVE_MAX_L + 1):
+        bits, dyck = qkz._integrand_table(L, qkz._dyck_caps(L))
+        ubits, uniform = qkz._integrand_table(L, (L - 2,) * (L // 2))
+        assert 0 < len(dyck) <= len(uniform)
+        for key, coeff in dyck.items():
+            exps = [(key >> (bits * l)) & ((1 << bits) - 1) for l in range(L // 2)]
+            ukey = sum(e << (ubits * l) for l, e in enumerate(exps))
+            assert uniform[ukey] == coeff, (L, exps)
+        # and no uniform key under the Dyck caps is missing from the Dyck table
+        under = 0
+        for ukey in uniform:
+            exps = [(ukey >> (ubits * l)) & ((1 << ubits) - 1) for l in range(L // 2)]
+            under += all(e <= c for e, c in zip(exps, qkz._dyck_caps(L)))
+        assert under == len(dyck), L
 
 
 def test_fast_expansion_matches_multipoly():
