@@ -163,9 +163,7 @@ def verify_lgv(Lmax: int) -> VerifyReport:
         for p in range(0, L // 2 + 1):
             for k in range(0, L - 2 * p + 1):
                 t = tee.tee(L, p, k)
-                ok = combin.lgv_tee(L, p, k) == t
-                if p <= combin.PATHS_MAX_P and L <= combin.PATHS_MAX_L:
-                    ok = ok and combin.path_count(L, p, k) == t
+                ok = combin.lgv_tee(L, p, k) == t and combin.path_count(L, p, k) == t
                 rep.record(ok, {"L": L, "p": p, "k": k})
     return rep
 
@@ -276,7 +274,7 @@ SUITES = {
     "lemma2": lambda max_L, seed: tee.verify_lemma2(4),
     "lemma3": lambda max_L, seed: tee.verify_lemma3(max_L),
     "hirota": lambda max_L, seed: verify_hirota_suite(seed),
-    "lgv": lambda max_L, seed: verify_lgv(min(max_L, qkz.SOLVE_MAX_L)),
+    "lgv": lambda max_L, seed: verify_lgv(min(max_L, tee.TEE_MAX_L)),
     "fpl": lambda max_L, seed: verify_fpl(min(max_L, combin.FPL_MAX_L)),
     "prop4": lambda max_L, seed: verify_prop4(min(max_L, qkz.SOLVE_MAX_L) // 2),
     "sfactor": lambda max_L, seed: verify_sfactor(max_L),

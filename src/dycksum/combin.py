@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import mpmath
 
@@ -26,8 +26,7 @@ from . import tee as tee_mod
 
 FPL_MAX_L = 8
 VSASM_MAX_SIZE = 9
-PATHS_MAX_P = 5
-PATHS_MAX_L = 14
+PATHS_MAX_L = tee_mod.TEE_MAX_L
 SFACTOR_MAX_L = 64
 VSASM_COUNTS = {3: 1, 5: 3, 7: 26, 9: 646}
 
@@ -71,86 +70,75 @@ def lgv_tee(L: int, p: int, k: int) -> TauPoly:
     return total
 
 
-def _descending_paths(start: tuple[int, int], end_x: int) -> Iterable[tuple[tuple[int, int], ...]]:
-    """Paths from start down to (end_x, 0) with steps (0,-1) and (+1,-1)."""
-    x0, y0 = start
-    diag = end_x - x0
-    if diag < 0 or diag > y0:
-        return
-    for downs in itertools.combinations(range(y0), diag):
-        pts = [start]
-        x = x0
-        for step in range(y0):
-            x += 1 if step in downs else 0
-            pts.append((x, y0 - step - 1))
-        yield tuple(pts)
+def _fan_ends(p: int, base: int, shift: int) -> dict[tuple[int, ...], int]:
+    """Vertex-disjoint families of one fan, counted by their endpoint set.
 
-
-def _ascending_paths(start: tuple[int, int], end_x: int) -> Iterable[tuple[tuple[int, int], ...]]:
-    """Paths from start up to (end_x, 0): steps (0,+1) weight tau^2, (+1,+1) weight 1."""
-    x0, y0 = start
-    height = -y0
-    diag = end_x - x0
-    if diag < 0 or diag > height:
-        return
-    for diags in itertools.combinations(range(height), diag):
-        pts = [start]
-        x = x0
-        for step in range(height):
-            x += 1 if step in diags else 0
-            pts.append((x, y0 + step + 1))
-        yield tuple(pts)
-
-
-def _family_weight(
-    starts: list[tuple[int, int]], ends: Sequence[int], gen, weight_verticals: bool
-) -> TauPoly:
-    """Weighted count of vertex-disjoint path families, start l to ends[l]."""
-    total = TauPoly.zero()
-
-    def place(idx: int, used: set, weight: int):
-        nonlocal total
-        if idx == len(starts):
-            total = total + TauPoly.monomial(2 * weight)
-            return
-        for path in gen(starts[idx], ends[idx]):
-            pts = set(path)
-            if pts & used:
-                continue
-            w = 0
-            if weight_verticals:
-                w = sum(1 for a, b in zip(path, path[1:]) if a[0] == b[0])
-            place(idx + 1, used | pts, weight + w)
-
-    place(0, set(), 0)
-    return total
+    Path l (1 <= l <= p) joins l + base steps from the axis at x = l - shift,
+    and each step keeps x or moves to x + 1.  The sweep state is the sorted
+    tuple of occupied x positions, so distinct positions on every level are
+    exactly vertex-disjointness.  A joining path lies left of every path
+    already in the sweep and no path can pass another, so path l ends at the
+    l-th smallest endpoint.  Paths move one at a time, right to left, and a
+    move onto the occupied x is dropped.  A position from which its path can
+    no longer reach its place among endpoints in 1..2p is pruned, so the
+    final states are exactly the endpoint sets.
+    """
+    top = 2 * p
+    states: dict[tuple[int, ...], int] = {(): 1}
+    m = 0
+    for height in range(p + base, -1, -1):
+        for i in range(m - 1, -1, -1):
+            # path i has p - m + i paths left of it at the end
+            lo, hi = p - m + i + 1 - height, top - (m - 1 - i)
+            moved: dict[tuple[int, ...], int] = {}
+            for st, c in states.items():
+                x = st[i]
+                if x >= lo:
+                    moved[st] = moved.get(st, 0) + c
+                x += 1
+                if lo <= x <= hi and (i == m - 1 or st[i + 1] != x):
+                    key = st[:i] + (x,) + st[i + 1:]
+                    moved[key] = moved.get(key, 0) + c
+            states = moved
+        l = height - base
+        if 1 <= l <= p:
+            states = {(l - shift,) + st: c for st, c in states.items()}
+            m += 1
+    return states
 
 
 def path_count(L: int, p: int, k: int) -> TauPoly:
-    """Direct enumeration of the two-fan nonintersecting path families.
+    """Direct count of the two-fan nonintersecting path families.
 
     Fan one descends from (l, l+k-1) to the axis with unweighted steps; fan
     two ascends from (l-k', -(l+k')) with weight tau^2 per vertical step.
-    The fans share endpoint columns; families are vertex-disjoint within
-    each fan.  Equals the determinant value on the common domain.
+    Families are vertex-disjoint within each fan and the fans share their
+    endpoint columns r_1 < ... < r_p in 1..2p.  Each fan is one level sweep
+    (``_fan_ends``) that counts its families for every endpoint set at once.
+    Path l of fan two makes 2l - r_l of its l + k' steps vertically, so a
+    family ending at r carries tau^(2(p(p+1) - sum r)) and the value is the
+    dot product of the two fans' counts with that weight.  A start on the
+    wrong side of the axis (k < 0 or k' < -1) leaves no family.  No
+    determinant is involved; equals the determinant value on the common
+    domain.
     """
-    if p > PATHS_MAX_P or L > PATHS_MAX_L:
-        raise EnumerationBudgetError(f"path enumeration budgeted to p <= {PATHS_MAX_P}, L <= {PATHS_MAX_L}")
+    if L > PATHS_MAX_L:
+        raise EnumerationBudgetError(f"path enumeration budgeted to L <= {PATHS_MAX_L}")
     if p < 0:
         raise ValueError("p must be nonnegative")
     if p == 0:
         return TauPoly.one()
     kp = L - 2 * p - k
-    starts1 = [(l, l + k - 1) for l in range(1, p + 1)]
-    starts2 = [(l - kp, -(l + kp)) for l in range(1, p + 1)]
-    total = TauPoly.zero()
-    for rs in itertools.combinations(range(1, 2 * p + 1), p):
-        n1 = _family_weight(starts1, rs, _descending_paths, False)
-        if n1.is_zero():
-            continue
-        n2 = _family_weight(starts2, rs, _ascending_paths, True)
-        total = total + n1 * n2
-    return total
+    if k < 0 or kp < -1:
+        return TauPoly.zero()
+    ascending = _fan_ends(p, kp, kp)
+    terms: dict[int, int] = {}
+    for rs, n1 in _fan_ends(p, k - 1, 0).items():
+        n2 = ascending.get(rs)
+        if n2:
+            e = 2 * (p * (p + 1) - sum(rs))
+            terms[e] = terms.get(e, 0) + n1 * n2
+    return TauPoly(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
 from typing import Callable, Sequence, Union
 
@@ -407,6 +408,22 @@ def enumerate_asm(n: int) -> list[ASMatrix]:
     return _build_asms(n, [(start,) for start in range(1, n + 1)], lambda prev: _monotone_rows(n, prev))
 
 
+@lru_cache(maxsize=None)
+def _asm_terms(n: int) -> tuple[tuple, ...]:
+    """Per ASM of size n, in enumeration order: (inv, minus, +1 cells, -1 cells).
+
+    Cells are (row, column) pairs in row-major order.  Built once per n, so
+    repeated expansions do not re-enumerate and re-score the matrices.
+    """
+    out = []
+    for B in enumerate_asm(n):
+        cells = [(i, j, v) for i, row in enumerate(B.rows) for j, v in enumerate(row) if v]
+        plus = tuple((i, j) for i, j, v in cells if v == 1)
+        minus = tuple((i, j) for i, j, v in cells if v == -1)
+        out.append((B.inversion_number(), len(minus), plus, minus))
+    return tuple(out)
+
+
 def asm_expansion(matrix: Sequence[Sequence[Value]], lam: Value) -> Value:
     """Deformed determinant as a weighted sum over alternating sign matrices.
 
@@ -424,17 +441,15 @@ def asm_expansion(matrix: Sequence[Sequence[Value]], lam: Value) -> Value:
     if lam == 0:
         raise ZeroDivisionError("lam must be nonzero")
     total = Fraction(0)
-    for B in enumerate_asm(n):
-        term = lam ** B.inversion_number() * (1 + 1 / lam) ** B.minus_count()
+    for inv, minus_count, plus, minus in _asm_terms(n):
+        term = lam ** inv * (1 + 1 / lam) ** minus_count
         if not term:
             continue
-        for i, row in enumerate(B.rows):
-            for j, v in enumerate(row):
-                if v == 1:
-                    term *= Fraction(matrix[i][j])
-                elif v == -1:
-                    if not matrix[i][j]:
-                        raise ExpansionPoleError(f"zero entry at ({i + 1},{j + 1}), a -1 cell, at lam = {lam}")
-                    term /= Fraction(matrix[i][j])
+        for i, j in plus:
+            term *= Fraction(matrix[i][j])
+        for i, j in minus:
+            if not matrix[i][j]:
+                raise ExpansionPoleError(f"zero entry at ({i + 1},{j + 1}), a -1 cell, at lam = {lam}")
+            term /= Fraction(matrix[i][j])
         total += term
     return _norm_coeff(total)

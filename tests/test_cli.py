@@ -154,8 +154,7 @@ def test_exit_codes(tmp_path, capout):
         ["tee", "--L", "21", "--p", "0", "--k", "1"],
         ["tee", "--L", "21", "--p", "0", "--k", "1", "--via-u"],
         ["hirota", "--input", str(big), "--tau2", "-1"],
-        ["lgv", "--method", "paths", "--L", "15", "--p", "1", "--k", "0"],
-        ["lgv", "--method", "paths", "--L", "14", "--p", "6", "--k", "0"],
+        ["lgv", "--method", "paths", "--L", "21", "--p", "1", "--k", "0"],
         ["asm", "--size", "7"],
         ["asm", "--class", "vsasm", "--size", "11"],
         ["fpl", "--L", "9"],
@@ -209,7 +208,6 @@ def test_library_budgets():
         lambda: hirota.enumerate_asm(hirota.ASM_MAX_N + 1),
         lambda: hirota.asm_expansion([[1] * 6] * (hirota.ASM_EXPANSION_MAX_N + 1), 1),
         lambda: combin.path_count(combin.PATHS_MAX_L + 1, 1, 0),
-        lambda: combin.path_count(combin.PATHS_MAX_L, combin.PATHS_MAX_P + 1, 0),
         lambda: combin.enumerate_vsasm(combin.VSASM_MAX_SIZE + 2),
         lambda: combin.enumerate_fpl(combin.FPL_MAX_L + 1),
         lambda: combin.sfactor(combin.SFACTOR_MAX_L + 1, 0),

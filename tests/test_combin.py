@@ -9,6 +9,7 @@ import pytest
 
 from dycksum.combin import (
     FPL_MAX_L,
+    PATHS_MAX_L,
     VSASM_COUNTS,
     LinkPattern,
     PoleCollisionError,
@@ -66,7 +67,31 @@ def test_lgv_triangle_sweep():
 
 def test_path_count_budget():
     with pytest.raises(EnumerationBudgetError):
-        path_count(16, 2, 1)
+        path_count(PATHS_MAX_L + 1, 2, 1)
+
+
+def test_path_count_matches_tee_through_L14():
+    for L in range(2, 15):
+        for p in range(0, L // 2 + 1):
+            for k in range(0, L - 2 * p + 1):
+                assert path_count(L, p, k) == tee(L, p, k), (L, p, k)
+
+
+def test_path_count_matches_tee_at_large_L():
+    assert path_count(20, 6, 4) == tee(20, 6, 4)
+    assert path_count(16, 2, 1) == tee(16, 2, 1)
+
+
+def test_path_count_off_triangle():
+    # k' = -1 lies off the admissible triangle, but every start is on its side
+    assert path_count(6, 2, 3) == TauPoly({0: 17, 2: 9})
+    assert path_count(7, 3, 2) == TauPoly({0: 24, 2: 76, 4: 56, 6: 14})
+    assert path_count(8, 3, 3) == TauPoly({0: 155, 2: 307, 4: 156, 6: 28})
+    assert path_count(6, 1, 5) == TauPoly({0: 5})
+    assert path_count(4, 1, 3) == TauPoly({0: 3})
+    # a start on the wrong side of the axis: k < 0 or k' < -1
+    for L, p, k in ((6, 2, -1), (8, 2, -2), (6, 2, 4), (5, 3, 0)):
+        assert path_count(L, p, k).is_zero(), (L, p, k)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from dycksum import hirota
 from dycksum.hirota import (
     ASM_COUNTS,
     ASMatrix,
@@ -242,6 +243,24 @@ def test_asm_counts_and_validity():
         assert len({a.rows for a in asms}) == count
     with pytest.raises(EnumerationBudgetError):
         enumerate_asm(7)
+
+
+def test_asm_expansion_enumerates_once_per_n(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return enumerate_asm(n)
+
+    hirota._asm_terms.cache_clear()
+    monkeypatch.setattr(hirota, "enumerate_asm", counting)
+    m = [[Fraction(i + 2 * j + 1) for j in range(4)] for i in range(4)]
+    first = asm_expansion(m, Fraction(3))
+    for lam in (Fraction(3), Fraction(-1), Fraction(2, 5)):
+        asm_expansion(m, lam)
+        asm_expansion([row[:3] for row in m[:3]], lam)
+    assert asm_expansion(m, Fraction(3)) == first == tau2_det(m, Fraction(3))
+    assert sorted(calls) == [3, 4]
 
 
 def test_asm_count_six():
