@@ -331,7 +331,10 @@ def _parse_rational(x) -> Fraction:
     decimal digits, and ``true`` is not a number.
     """
     if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"{x!r} has a zero denominator") from exc
     raise ValueError(f'{x!r} is not a decimal or "p/q" string or an integer')
 
 

@@ -26,7 +26,7 @@ from . import tee as tee_mod
 
 FPL_MAX_L = 8
 VSASM_MAX_SIZE = 9
-PATHS_MAX_L = tee_mod.TEE_MAX_L
+PATHS_MAX_L = tee_mod.TEE_MAX_L  # largest L for lgv_tee and path_count
 SFACTOR_MAX_L = 64
 VSASM_COUNTS = {3: 1, 5: 3, 7: 26, 9: 646}
 
@@ -46,6 +46,8 @@ def lgv_tee(L: int, p: int, k: int) -> TauPoly:
     Sums over endpoint columns 1 <= r_1 < ... < r_p <= 2p the product of the
     two p x p binomial minors; equals tee(L, p, k) exactly.
     """
+    if L > PATHS_MAX_L:
+        raise EnumerationBudgetError(f"minor sum budgeted to L <= {PATHS_MAX_L}")
     if p < 0:
         raise ValueError("p must be nonnegative")
     if p == 0:

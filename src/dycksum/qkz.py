@@ -159,6 +159,7 @@ class RestrictedFamily:
 
 @lru_cache(maxsize=None)
 def dyck_family(L: int, p: int) -> RestrictedFamily:
+    _check_p(L, p)
     floor = _floor_heights(L, p)
     members = tuple(
         a for a in enumerate_dyck(L) if all(h >= f for h, f in zip(a.heights, floor))
@@ -337,85 +338,27 @@ def _dyck_caps(L: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _integrand_table(L: int, caps: tuple[int, ...]) -> tuple[int, dict[int, TauPoly]]:
+def _integrand_table(L: int, caps: tuple[int, ...]) -> dict[tuple[int, ...], TauPoly]:
     """Expand the size-L integrand with the exponent of u_l capped at caps[l].
 
     Every factor has nonnegative exponents, so dropping a monomial beyond a
-    cap never changes a coefficient below the caps: tables with different
-    caps agree wherever both have a key.  Returns (bits, table) where table
-    maps radix-encoded u-exponent vectors (bits per digit) to TauPoly
-    coefficients.  Exponents and the tau degree are packed into one integer
-    key so the inner loop is plain integer-dict arithmetic.  Built once per
-    (size, caps): every psi_bar read with those caps shares it.
+    cap never changes a coefficient below the caps (see ``MultiPoly``):
+    tables with different caps agree wherever both hold a monomial.
+    Returns the expansion's ``coefficients()``, grouped once per (size,
+    caps): every psi_bar read with those caps shares them, and the packed
+    terms are not kept.
     """
     n = L // 2
-    bits = (max(caps) + 2).bit_length()
-    shifts = [bits * i for i in range(n)]
-    tau_shift = bits * n
 
-    def encode(evec: tuple[int, ...], taudeg: int) -> int:
-        key = taudeg << tau_shift
-        for e, s in zip(evec, shifts):
-            key += e << s
-        return key
+    def order(fac) -> tuple[int, int]:
+        # the highest variable a factor touches: multiplying in that order keeps
+        # intermediates confined to a prefix of the variables for longest
+        return max((i for evec, _, _ in fac for i, e in enumerate(evec) if e), default=-1), len(fac)
 
-    factors = []
-    for fac in integrand_factors(L):
-        mons = []
-        for evec, taudeg, coef in fac:
-            touched = tuple((shifts[i], caps[i]) for i, e in enumerate(evec) if e)
-            mons.append((encode(evec, taudeg), touched, coef))
-        # order factors by the highest variable they touch so intermediates
-        # stay confined to a prefix of the variables for as long as possible
-        hi = max((i for m in fac for i, e in enumerate(m[0]) if e), default=-1)
-        factors.append((hi, len(mons), mons))
-    factors.sort(key=lambda t: (t[0], t[1]))
-
-    mask = (1 << bits) - 1
-    cur: dict[int, int] = {0: 1}
-    for _, _, mons in factors:
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for key, c in cur.items():
-            for delta, touched, coef in mons:
-                nk = key + delta
-                ok = True
-                for shift, cap in touched:
-                    if (nk >> shift) & mask > cap:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                s = get(nk, 0) + (c if coef > 0 else -c)
-                if s:
-                    nxt[nk] = s
-                else:
-                    nxt.pop(nk, None)
-        cur = nxt
-
-    grouped: dict[int, dict[int, int]] = {}
-    ukey_mask = (1 << tau_shift) - 1
-    for key, c in cur.items():
-        u = key & ukey_mask
-        grouped.setdefault(u, {})[key >> tau_shift] = c
-    return bits, {u: TauPoly(t) for u, t in grouped.items()}
-
-
-def integrand_multipoly(L: int) -> MultiPoly:
-    """Reference expansion through the public MultiPoly type (slow path).
-
-    Uses the uniform cap L - 2 per variable, the largest cap ``psi_bar`` reads.
-    """
-    n = L // 2
-    caps = (L - 2,) * n
-    acc = MultiPoly.one(n, caps)
-    for fac in integrand_factors(L):
-        terms = {}
-        for evec, taudeg, coef in fac:
-            if all(e <= c for e, c in zip(evec, caps)):
-                terms[evec] = TauPoly.monomial(taudeg, coef)
-        acc = acc * MultiPoly(n, caps, terms)
-    return acc
+    table = MultiPoly.one(n, caps)
+    for fac in sorted(integrand_factors(L), key=order):
+        table = table * MultiPoly(n, None, {evec: TauPoly.monomial(t, c) for evec, t, c in fac})
+    return table.coefficients()
 
 
 def psi_bar(b: Sequence[int], L: int) -> TauPoly:
@@ -438,11 +381,7 @@ def psi_bar(b: Sequence[int], L: int) -> TauPoly:
     caps = _dyck_caps(L)
     if any(x - 1 > cap for x, cap in zip(b, caps)):
         caps = (L - 2,) * n
-    bits, table = _integrand_table(L, caps)
-    key = 0
-    for l, x in enumerate(b):
-        key += (x - 1) << (bits * l)
-    return table.get(key, TauPoly.zero())
+    return _integrand_table(L, caps).get(tuple(x - 1 for x in b), TauPoly.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +560,10 @@ def _as_t(t: TLike) -> TauPoly:
             return TauPoly.tau()
         if t == "tau-inv":
             return TauPoly.monomial(-1)
-        return TauPoly.from_coeff(Fraction(t))
+        try:
+            return TauPoly.from_coeff(Fraction(t))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"t={t!r} has a zero denominator") from exc
     return TauPoly.from_coeff(t)
 
 

@@ -6,9 +6,10 @@ Everything downstream is built on four value types:
   (Python's built-ins already satisfy the required invariants).
 * ``TauPoly`` -- sparse Laurent polynomials in a single variable ``tau`` with
   integer (or exact rational) coefficients.
-* ``MultiPoly`` -- polynomials in u_1..u_n over ``TauPoly`` with a hard
-  per-variable degree cap; products silently drop monomials beyond the cap,
-  which is sound because callers only ever read coefficients within the cap.
+* ``MultiPoly`` -- sparse Laurent polynomials in u_1..u_n and tau, one
+  packed integer key per monomial, with an optional upper cap per variable;
+  products drop monomials beyond the cap, which is sound while every later
+  factor has nonnegative exponents in the capped variables.
 * ``RingMatrix`` -- immutable rectangular matrices over any of the above,
   with fraction-free (Bareiss) determinants.
 """
@@ -317,81 +318,152 @@ def tau_qnumber(k: int) -> TauPoly:
     return cur
 
 
-class MultiPoly:
-    """Polynomial in u_1..u_n over TauPoly with per-variable degree caps.
+def _width(lo: Sequence[int], hi: Sequence[int]) -> int:
+    """Bits a field needs to hold every exponent from lo to hi, offset by lo."""
+    return max([h - l for l, h in zip(lo, hi)], default=0).bit_length() or 1
 
-    Multiplication silently discards monomials whose exponent in any variable
-    exceeds the cap; coefficients at exponents within cap are exact.
+
+class MultiPoly:
+    """Sparse Laurent polynomial in u_1..u_n and tau with int/Fraction coefficients.
+
+    Each monomial u^e tau^t is one integer key.  Field l, ``bits`` wide at
+    bit l * bits, holds e_l - lo[l]; t sits above the n fields, so it is
+    unbounded and may be negative.  Every exponent of u_l lies between
+    lo[l] and hi[l].  A product picks a field width that holds the sum of
+    both factors' bounds, so fields never carry and multiplying two
+    monomials is adding their keys.
+
+    ``cap`` is None or an upper cap per variable.  A product keeps the
+    tighter cap of each variable and drops every monomial beyond it.  That
+    is sound only if every later factor has nonnegative exponents in the
+    capped variables: such a factor never lowers an exponent, so no dropped
+    monomial could have come back under the cap, and every coefficient
+    within the cap is exact.  Sums need equal caps.
     """
 
-    __slots__ = ("n", "cap", "terms")
+    __slots__ = ("n", "cap", "lo", "hi", "bits", "terms")
 
-    def __init__(self, n: int, cap: Sequence[int], terms: Mapping[tuple, TauPoly] | None = None):
-        if len(cap) != n:
-            raise DimensionError("cap vector length must equal variable count")
-        self.n = n
-        self.cap = tuple(int(c) for c in cap)
-        clean: dict[tuple, TauPoly] = {}
-        if terms:
-            for ev, p in terms.items():
-                ev = tuple(int(e) for e in ev)
-                if len(ev) != n:
-                    raise DimensionError("exponent vector arity mismatch")
-                if any(e < 0 for e in ev):
-                    raise CapError("negative exponent")
-                if any(e > c for e, c in zip(ev, self.cap)):
-                    raise CapError("exponent beyond cap")
-                if not p.is_zero():
-                    clean[ev] = p
-        self.terms = clean
+    def __init__(self, n: int, cap: Sequence[int] | None, terms: Mapping[tuple, TauPoly] | None = None):
+        if cap is not None:
+            cap = tuple(int(c) for c in cap)
+            if len(cap) != n:
+                raise DimensionError("cap vector length must equal variable count")
+        mons: list[tuple[tuple[int, ...], TauPoly]] = []
+        for ev, p in (terms or {}).items():
+            ev = tuple(int(e) for e in ev)
+            if len(ev) != n:
+                raise DimensionError("exponent vector arity mismatch")
+            if cap is not None and any(e > c for e, c in zip(ev, cap)):
+                raise CapError("exponent beyond cap")
+            if not p.is_zero():
+                mons.append((ev, p))
+        exps = [ev for ev, _ in mons] or [(0,) * n]
+        lo, hi = tuple(map(min, zip(*exps))), tuple(map(max, zip(*exps)))
+        bits = _width(lo, hi)
+        terms = {}
+        for ev, p in mons:
+            ukey = sum((e - l) << (i * bits) for i, (e, l) in enumerate(zip(ev, lo)))
+            for t, c in p.terms.items():
+                terms[(t << (n * bits)) + ukey] = c
+        self._set(n, cap, lo, hi, bits, terms)
+
+    def _set(self, n, cap, lo, hi, bits, terms):
+        self.n, self.cap, self.lo, self.hi, self.bits, self.terms = n, cap, lo, hi, bits, terms
+        return self
+
+    def _layout(self, lo: tuple[int, ...], bits: int) -> dict[int, Coeff]:
+        """The terms re-keyed with offsets lo and field width bits."""
+        if lo == self.lo and bits == self.bits:
+            return self.terms
+        shift, mask = self.n * self.bits, (1 << self.bits) - 1
+        out = {}
+        for key, c in self.terms.items():
+            new = (key >> shift) << (self.n * bits)
+            for i in range(self.n):
+                new += (((key >> (i * self.bits)) & mask) + self.lo[i] - lo[i]) << (i * bits)
+            out[new] = c
+        return out
 
     @classmethod
-    def constant(cls, n: int, cap: Sequence[int], value: TauPoly) -> "MultiPoly":
-        return cls(n, cap, {(0,) * n: value})
-
-    @classmethod
-    def one(cls, n: int, cap: Sequence[int]) -> "MultiPoly":
-        return cls.constant(n, cap, TauPoly.one())
+    def one(cls, n: int, cap: Sequence[int] | None) -> "MultiPoly":
+        return cls(n, cap, {(0,) * n: TauPoly.one()})
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         if self.n != other.n or self.cap != other.cap:
             raise DimensionError("mismatched MultiPoly shapes")
-        out = dict(self.terms)
-        for ev, p in other.terms.items():
-            s = out.get(ev)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(ev, None)
+        lo = tuple(map(min, self.lo, other.lo))
+        hi = tuple(map(max, self.hi, other.hi))
+        bits = max(self.bits, other.bits, _width(lo, hi))
+        out = dict(self._layout(lo, bits))
+        for key, c in other._layout(lo, bits).items():
+            s = out.get(key, 0) + c
+            if s:
+                out[key] = s
             else:
-                out[ev] = s
-        res = MultiPoly.__new__(MultiPoly)
-        res.n, res.cap, res.terms = self.n, self.cap, out
-        return res
+                del out[key]
+        return MultiPoly.__new__(MultiPoly)._set(self.n, self.cap, lo, hi, bits, out)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        if self.n != other.n or self.cap != other.cap:
+        if self.n != other.n:
             raise DimensionError("mismatched MultiPoly shapes")
-        cap = self.cap
-        out: dict[tuple, TauPoly] = {}
-        for ev1, p1 in self.terms.items():
-            for ev2, p2 in other.terms.items():
-                ev = tuple(a + b for a, b in zip(ev1, ev2))
-                if any(e > c for e, c in zip(ev, cap)):
+        n = self.n
+        if self.cap is None or other.cap is None:
+            cap = other.cap if self.cap is None else self.cap
+        else:
+            cap = tuple(map(min, self.cap, other.cap))
+        lo = tuple(map(operator.add, self.lo, other.lo))
+        hi = tuple(map(operator.add, self.hi, other.hi))
+        bits = max(self.bits, other.bits, _width(lo, hi))
+        if cap is not None:
+            hi = tuple(max(l, min(h, c)) for l, h, c in zip(lo, hi, cap))
+        big, small = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
+        items = big._layout(big.lo, bits).items()
+        mask = (1 << bits) - 1
+        out: dict[int, Coeff] = {}
+        get = out.get
+        mons = []
+        for kb, cb in small._layout(small.lo, bits).items():
+            # cap checks only on the fields this monomial can push past a cap; the
+            # first is unrolled, and one that always passes stands in for none
+            checks = [
+                (i * bits, cap[i] - lo[i])
+                for i in range(n)
+                if cap is not None and big.hi[i] + ((kb >> (i * bits)) & mask) + small.lo[i] > cap[i]
+            ] or [(0, mask)]
+            mons.append((kb, cb, *checks[0], checks[1:]))
+        # the large operand outermost, so cancelling contributions meet early
+        # and the result dict stays near its final size
+        for ka, ca in items:
+            for kb, cb, shift, limit, rest in mons:
+                nk = ka + kb
+                if (nk >> shift) & mask > limit:
                     continue
-                prod = p1 * p2
-                s = out.get(ev)
-                s = prod if s is None else s + prod
-                if s.is_zero():
-                    out.pop(ev, None)
+                for sh, lim in rest:
+                    if (nk >> sh) & mask > lim:
+                        break
                 else:
-                    out[ev] = s
-        res = MultiPoly.__new__(MultiPoly)
-        res.n, res.cap, res.terms = self.n, self.cap, out
-        return res
+                    s = get(nk, 0) + ca * cb
+                    if s:
+                        out[nk] = s
+                    else:
+                        del out[nk]
+        return MultiPoly.__new__(MultiPoly)._set(n, cap, lo, hi, bits, out)
+
+    def coefficients(self) -> dict[tuple[int, ...], TauPoly]:
+        """Map from each u-exponent vector to its TauPoly coefficient (one pass over the terms)."""
+        shift, mask = self.n * self.bits, (1 << self.bits) - 1
+        grouped: dict[int, dict[int, Coeff]] = {}
+        for key, c in self.terms.items():
+            grouped.setdefault(key & ((1 << shift) - 1), {})[key >> shift] = c
+        out = {}
+        while grouped:  # popping frees each group as soon as it is copied
+            u, t = grouped.popitem()
+            out[tuple(((u >> (i * self.bits)) & mask) + l for i, l in enumerate(self.lo))] = TauPoly(t)
+        return out
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MultiPoly):
-            return self.n == other.n and self.terms == other.terms
+            return self.n == other.n and self.coefficients() == other.coefficients()
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -399,15 +471,13 @@ class MultiPoly:
 
 
 def coeff_extract(p: MultiPoly, e: Sequence[int]) -> TauPoly:
-    """Coefficient of u^e in p; e must lie within p's declared cap."""
+    """Coefficient of u^e in p; e must lie within p's cap, if p has one."""
     ev = tuple(int(x) for x in e)
     if len(ev) != p.n:
         raise DimensionError(f"exponent arity {len(ev)} != variable count {p.n}")
-    if any(x < 0 for x in ev):
-        raise CapError("negative exponent requested")
-    if any(x > c for x, c in zip(ev, p.cap)):
+    if p.cap is not None and any(x > c for x, c in zip(ev, p.cap)):
         raise CapError(f"exponent {ev} beyond cap {p.cap}")
-    return p.terms.get(ev, TauPoly.zero())
+    return p.coefficients().get(ev, TauPoly.zero())
 
 
 class RingMatrix:
@@ -528,6 +598,8 @@ def pluecker_check(a: RingMatrix, b: RingMatrix) -> bool:
     if a.rows != b.rows:
         raise DimensionError("matrices must have equal size")
     n = a.rows
+    if n == 0:
+        raise DimensionError("the identity exchanges row n, so it needs n >= 1")
     lhs = det(a) * det(b)
     rhs = None
     for j in range(n):

@@ -13,7 +13,7 @@ import itertools
 from math import comb
 
 from .report import VerifyReport
-from .ring import EnumerationBudgetError, RingMatrix, TauPoly, det
+from .ring import EnumerationBudgetError, MultiPoly, RingMatrix, TauPoly, det
 from . import qkz
 
 TEE_MAX_L = 20  # largest L for tee and tee_via_U
@@ -312,53 +312,15 @@ def verify_lemma3(Lmax: int) -> VerifyReport:
 # the truncated antisymmetrisation identity
 # ---------------------------------------------------------------------------
 
-_LTerm = dict[tuple[int, ...], TauPoly]
-
-
-def _lmul(a: _LTerm, b: _LTerm) -> _LTerm:
-    out: _LTerm = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            s = out.get(e)
-            s = ca * cb if s is None else s + ca * cb
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-    return out
-
-
-def _ladd(a: _LTerm, b: _LTerm) -> _LTerm:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return out
-
-
-def _antisymmetrise(p: int, builder) -> _LTerm:
-    total: _LTerm = {}
-    for perm in itertools.permutations(range(p)):
-        inv = sum(1 for i in range(p) for j in range(i + 1, p) if perm[i] > perm[j])
-        term = builder(perm)
-        if inv % 2:
-            term = {e: -c for e, c in term.items()}
-        total = _ladd(total, term)
-    return total
-
-
 def verify_lemma2(pmax: int) -> VerifyReport:
     """Truncated antisymmetrisation identity, expanded symbolically.
 
     The left side multiplies prod_{l<=m}(1 - u_l u_m) into the
     antisymmetrisation of prod u_l^(1-2l) prod_{l<m}(1 + u_l u_m + tau u_m),
     then keeps only monomials with every u-exponent <= 0; the right side is
-    prod u_l^(-1) prod_{l<m}(1/u_m - 1/u_l)(tau + 1/u_l + 1/u_m).
+    prod u_l^(-1) prod_{l<m}(1/u_m - 1/u_l)(tau + 1/u_l + 1/u_m).  Every
+    factor after the leading monomial has nonnegative exponents, so the left
+    side carries cap 0 on every variable and is truncated during the product.
     """
     if pmax > LEMMA2_MAX_P:
         raise EnumerationBudgetError(f"lemma2 budgeted to p <= {LEMMA2_MAX_P}")
@@ -368,37 +330,33 @@ def verify_lemma2(pmax: int) -> VerifyReport:
     for p in range(1, pmax + 1):
         zero_e = (0,) * p
 
-        def mono(coef: TauPoly, *exps: tuple[int, int]) -> _LTerm:
+        def ev(*exps: tuple[int, int]) -> tuple[int, ...]:
             e = [0] * p
             for var, d in exps:
                 e[var] += d
-            return {tuple(e): coef}
+            return tuple(e)
 
-        def build(perm) -> _LTerm:
+        lhs = MultiPoly(p, zero_e)
+        for perm in itertools.permutations(range(p)):
             # slot l of the product carries variable u_{perm(l)}
-            term = mono(one, *[(perm[l], 1 - 2 * (l + 1)) for l in range(p)])
+            inv = sum(1 for i in range(p) for j in range(i + 1, p) if perm[i] > perm[j])
+            lead = ev(*[(perm[l], 1 - 2 * (l + 1)) for l in range(p)])
+            term = MultiPoly(p, zero_e, {lead: -one if inv % 2 else one})
             for l in range(p):
                 for m in range(l + 1, p):
-                    fac = _ladd(
-                        _ladd({zero_e: one}, mono(one, (perm[l], 1), (perm[m], 1))),
-                        mono(tau, (perm[m], 1)),
-                    )
-                    term = _lmul(term, fac)
-            return term
-
-        lhs = _antisymmetrise(p, build)
+                    pair = ev((perm[l], 1), (perm[m], 1))
+                    term = term * MultiPoly(p, None, {zero_e: one, pair: one, ev((perm[m], 1)): tau})
+            lhs = lhs + term
         for l in range(p):
             for m in range(l, p):
-                fac = _ladd({zero_e: one}, mono(-one, (l, 1), (m, 1)))
-                lhs = _lmul(lhs, fac)
-        lhs = {e: c for e, c in lhs.items() if all(x <= 0 for x in e)}
+                lhs = lhs * MultiPoly(p, None, {zero_e: one, ev((l, 1), (m, 1)): -one})
 
-        rhs = mono(one, *[(l, -1) for l in range(p)])
+        rhs = MultiPoly(p, None, {ev(*[(l, -1) for l in range(p)]): one})
         for l in range(p):
             for m in range(l + 1, p):
-                diff = _ladd(mono(one, (m, -1)), mono(-one, (l, -1)))
-                summ = _ladd(_ladd({zero_e: tau}, mono(one, (l, -1))), mono(one, (m, -1)))
-                rhs = _lmul(rhs, _lmul(diff, summ))
+                diff = MultiPoly(p, None, {ev((m, -1)): one, ev((l, -1)): -one})
+                summ = MultiPoly(p, None, {zero_e: tau, ev((l, -1)): one, ev((m, -1)): one})
+                rhs = rhs * diff * summ
 
         ok = lhs == rhs
         rep.record(ok, None if ok else {"p": p, "note": "truncated antisymmetrisation mismatch"})

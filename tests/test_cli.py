@@ -155,6 +155,7 @@ def test_exit_codes(tmp_path, capout):
         ["tee", "--L", "21", "--p", "0", "--k", "1", "--via-u"],
         ["hirota", "--input", str(big), "--tau2", "-1"],
         ["lgv", "--method", "paths", "--L", "21", "--p", "1", "--k", "0"],
+        ["lgv", "--L", "21", "--p", "1", "--k", "0"],
         ["asm", "--size", "7"],
         ["asm", "--class", "vsasm", "--size", "11"],
         ["fpl", "--L", "9"],
@@ -164,6 +165,22 @@ def test_exit_codes(tmp_path, capout):
     for argv in over_budget:
         code, out, err = capout(argv)
         assert code == 2 and out == "" and "budget" in err, argv
+    # a zero denominator is bad input, not an internal fault
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"n": 1, "entries": [["1"]]}))
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"n": 1, "entries": [["1/0"]]}))
+    for argv in (
+        ["sums", "--L", "6", "--p", "1", "--t=1/0"],
+        ["hirota", "--input", str(one), "--tau2", "1/0"],
+        ["hirota", "--input", str(zero), "--tau2", "-1"],
+    ):
+        code, out, err = capout(argv)
+        assert code == 2 and out == "" and "zero denominator" in err, argv
+    # p outside 0..(L-1)//2 has no restricted family
+    for p in ("9", "-1", "4"):
+        code, out, err = capout(["fpl", "--L", "8", "--p", p])
+        assert code == 2 and out == "" and "p must lie in 0..3" in err, p
     # 2^513 cannot round exactly at 256 bits; 1024 bits can
     code, out, err = capout(["sfactor", "--L", "64", "--p", "20"])
     assert code == 2 and out == "" and "--bits >= 545" in err
@@ -208,6 +225,7 @@ def test_library_budgets():
         lambda: hirota.enumerate_asm(hirota.ASM_MAX_N + 1),
         lambda: hirota.asm_expansion([[1] * 6] * (hirota.ASM_EXPANSION_MAX_N + 1), 1),
         lambda: combin.path_count(combin.PATHS_MAX_L + 1, 1, 0),
+        lambda: combin.lgv_tee(combin.PATHS_MAX_L + 1, 0, 1),
         lambda: combin.enumerate_vsasm(combin.VSASM_MAX_SIZE + 2),
         lambda: combin.enumerate_fpl(combin.FPL_MAX_L + 1),
         lambda: combin.sfactor(combin.SFACTOR_MAX_L + 1, 0),

@@ -18,7 +18,7 @@ from dycksum.qkz import (
     canonical_sequence,
     dyck_family,
     enumerate_dyck,
-    integrand_multipoly,
+    integrand_factors,
     max_path,
     omega_path,
     partial_sum,
@@ -27,7 +27,7 @@ from dycksum.qkz import (
     ptilde,
     solve_psi,
 )
-from dycksum.ring import MultiPoly, TauPoly, coeff_extract
+from dycksum.ring import TauPoly
 
 
 def P(*pairs):
@@ -88,6 +88,9 @@ def test_family_membership():
     assert fam.members == (D("UUDUD"), D("UUUDD"))
     assert len(dyck_family(5, 2)) == 5
     assert len(dyck_family(8, 1)) == 2
+    for p in (-1, 4, 9):
+        with pytest.raises(ValueError, match="p must lie in"):
+            dyck_family(8, p)
 
 
 def test_c_value_fixtures():
@@ -285,28 +288,37 @@ def test_components_and_sums_skip_the_uniform_table():
 
 def test_dyck_table_agrees_with_uniform_table():
     for L in range(2, SOLVE_MAX_L + 1):
-        bits, dyck = qkz._integrand_table(L, qkz._dyck_caps(L))
-        ubits, uniform = qkz._integrand_table(L, (L - 2,) * (L // 2))
+        dyck = qkz._integrand_table(L, qkz._dyck_caps(L))
+        uniform = qkz._integrand_table(L, (L - 2,) * (L // 2))
         assert 0 < len(dyck) <= len(uniform)
-        for key, coeff in dyck.items():
-            exps = [(key >> (bits * l)) & ((1 << bits) - 1) for l in range(L // 2)]
-            ukey = sum(e << (ubits * l) for l, e in enumerate(exps))
-            assert uniform[ukey] == coeff, (L, exps)
+        for exps, coeff in dyck.items():
+            assert uniform[exps] == coeff, (L, exps)
         # and no uniform key under the Dyck caps is missing from the Dyck table
-        under = 0
-        for ukey in uniform:
-            exps = [(ukey >> (ubits * l)) & ((1 << ubits) - 1) for l in range(L // 2)]
-            under += all(e <= c for e, c in zip(exps, qkz._dyck_caps(L)))
+        under = sum(all(e <= c for e, c in zip(exps, qkz._dyck_caps(L))) for exps in uniform)
         assert under == len(dyck), L
 
 
+def naive_integrand(L):
+    """Uncapped expansion of integrand_factors(L) over tuple keys (u-exponents, tau degree)."""
+    acc = {((0,) * (L // 2), 0): 1}
+    for fac in integrand_factors(L):
+        nxt = {}
+        for (ea, ta), ca in acc.items():
+            for eb, tb, cb in fac:
+                key = (tuple(x + y for x, y in zip(ea, eb)), ta + tb)
+                nxt[key] = nxt.get(key, 0) + ca * cb
+        acc = {k: c for k, c in nxt.items() if c}
+    return acc
+
+
 def test_fast_expansion_matches_multipoly():
-    # the packed-integer expansion agrees with the public MultiPoly route
+    # the capped MultiPoly table agrees with a naive uncapped expansion
     for L in (2, 3, 4, 5, 6):
-        ref = integrand_multipoly(L)
+        ref = naive_integrand(L)
         for b in _all_b(L):
             e = tuple(x - 1 for x in b)
-            assert psi_bar(b, L) == coeff_extract(ref, e)
+            expect = TauPoly({t: c for (ev, t), c in ref.items() if ev == e})
+            assert psi_bar(b, L) == expect, (L, b)
 
 
 def _all_b(L):

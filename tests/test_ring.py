@@ -169,13 +169,86 @@ def test_multipoly_cap_agreement():
 
         a_low = rand_mp(cap)
         b_low = rand_mp(cap)
-        a_big = MultiPoly(2, big, a_low.terms)
-        b_big = MultiPoly(2, big, b_low.terms)
+        a_big = MultiPoly(2, big, a_low.coefficients())
+        b_big = MultiPoly(2, big, b_low.coefficients())
         low = a_low * b_low
         high = a_big * b_big
         for e0 in range(cap[0] + 1):
             for e1 in range(cap[1] + 1):
                 assert coeff_extract(low, (e0, e1)) == coeff_extract(high, (e0, e1))
+
+
+def naive_terms(rng, n, span, count):
+    """{(u-exponents, tau degree): coefficient} with exponents in -span..span."""
+    out = {}
+    for _ in range(count):
+        e = tuple(rng.randint(-span, span) for _ in range(n))
+        c = rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 4))])
+        if c:
+            out[(e, rng.randint(-span, span))] = c
+    return out
+
+
+def naive_mul(a, b, cap=None):
+    out = {}
+    for (ea, ta), ca in a.items():
+        for (eb, tb), cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if cap is None or all(x <= c for x, c in zip(e, cap)):
+                out[(e, ta + tb)] = out.get((e, ta + tb), 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def naive_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def to_multipoly(n, cap, naive):
+    grouped = {}
+    for (e, t), c in naive.items():
+        grouped.setdefault(e, {})[t] = c
+    return MultiPoly(n, cap, {e: TauPoly(t) for e, t in grouped.items()})
+
+
+def test_multipoly_matches_naive_products_randomized():
+    # exponents up to 2**20 overflow any field sized for the small operand,
+    # and the sum of two in-range fields overflows a field sized for one
+    rng = random.Random(2024)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        span_a, span_b = rng.choice([2, 3, 7, 200]), rng.choice([1, 5, 130, 2**20])
+        a = naive_terms(rng, n, span_a, rng.randint(0, 6))
+        b = naive_terms(rng, n, span_b, rng.randint(0, 6))
+        pa, pb = to_multipoly(n, None, a), to_multipoly(n, None, b)
+        assert pa * pb == to_multipoly(n, None, naive_mul(a, b))
+        assert pb * pa == to_multipoly(n, None, naive_mul(a, b))
+        assert pa + pb == to_multipoly(n, None, naive_add(a, b))
+        assert pa + to_multipoly(n, None, {k: -c for k, c in a.items()}) == MultiPoly(n, None)
+        # a capped operand keeps its cap through a product with an uncapped one
+        cap = tuple(rng.randint(-span_a, span_a) for _ in range(n))
+        a_cap = {k: c for k, c in a.items() if all(x <= y for x, y in zip(k[0], cap))}
+        capped = to_multipoly(n, cap, a_cap) * pb
+        assert capped.cap == cap
+        assert capped == to_multipoly(n, None, naive_mul(a_cap, b, cap))
+        # and a chain of nonnegative factors truncates exactly
+        c = {(tuple(abs(x) % 3 for x in e), t): v for (e, t), v in naive_terms(rng, n, 2, 4).items()}
+        chained = capped * to_multipoly(n, None, c)
+        expect = to_multipoly(n, None, naive_mul(naive_mul(a_cap, b), c, cap))
+        assert chained == expect
+        for e, coeff in expect.coefficients().items():
+            assert coeff_extract(chained, e) == coeff
+    # two caps meet at the tighter one; sums need equal caps
+    x = MultiPoly(2, (1, 4), {(1, 0): TauPoly.one()})
+    y = MultiPoly(2, (3, 2), {(0, 2): TauPoly.one(), (1, 1): TauPoly.tau()})
+    assert (x * y).cap == (1, 2)
+    assert (x * y).coefficients() == {(1, 2): TauPoly.one()}
+    with pytest.raises(DimensionError):
+        x + y
+    with pytest.raises(CapError):
+        MultiPoly(1, (2,), {(3,): TauPoly.one()})
 
 
 def test_pluecker_identity_fixture():
@@ -202,6 +275,9 @@ def test_pluecker_randomized():
         assert pluecker_check(a, b)
     with pytest.raises(DimensionError):
         pluecker_check(RingMatrix([[1]]), RingMatrix([[1, 0], [0, 1]]))
+    # the identity exchanges row n, so it needs n >= 1
+    with pytest.raises(DimensionError):
+        pluecker_check(RingMatrix([]), RingMatrix([]))
 
 
 def test_taupoly_repr_and_eval():
