@@ -183,24 +183,20 @@ def verify_fpl(Lmax: int) -> VerifyReport:
 
 
 def verify_prop4(nmax: int) -> VerifyReport:
-    """The three symmetry-class identities.
+    """The three symmetry-class identities, exactly for n <= nmax.
 
-    Line 1 for n within the enumeration budget (counts 1, 3, 26, 646 are also
-    asserted); lines 2 and 3 exactly for n <= nmax.
+    Line 1 also checks the class count, the weighted sum at tau = 1, against
+    Kuperberg's product formula.
     """
     rep = VerifyReport("prop4", {"max_n": nmax})
     for n in range(1, nmax + 1):
         size = 2 * n + 1
-        if size <= combin.VSASM_MAX_SIZE:
-            members = combin.enumerate_vsasm(size)
-            rep.record(
-                len(members) == combin.VSASM_COUNTS[size],
-                {"line": 1, "n": n, "law": "class count"},
-            )
-            rep.record(
-                combin.vsasm_genfun(size) == tee.tee(2 * n, n - 1, 2),
-                {"line": 1, "n": n},
-            )
+        weighted = combin.vsasm_genfun(size)
+        rep.record(
+            weighted.at_tau_one() == combin.vsasm_product(size),
+            {"line": 1, "n": n, "law": "class count"},
+        )
+        rep.record(weighted == tee.tee(2 * n, n - 1, 2), {"line": 1, "n": n})
         if 2 * n <= qkz.SOLVE_MAX_L:
             rep.record(
                 tee.tee(2 * n, n - 1, 1) == qkz.partial_sum(2 * n, n - 1, 1),
@@ -409,11 +405,9 @@ def _cmd_lgv(args) -> dict:
 
 def _cmd_asm(args) -> dict:
     if args.klass == "vsasm":
-        members = combin.enumerate_vsasm(args.size)
         gen = combin.vsasm_genfun(args.size)
-        return {"size": args.size, "class": "vsasm", "count": len(members), **gen.to_json()}
-    members = hirota.enumerate_asm(args.size)
-    return {"size": args.size, "class": "asm", "count": len(members)}
+        return {"size": args.size, "class": "vsasm", "count": gen.at_tau_one(), **gen.to_json()}
+    return {"size": args.size, "class": "asm", "count": hirota.asm_count(args.size)}
 
 
 def _cmd_fpl(args) -> dict:

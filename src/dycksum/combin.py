@@ -14,21 +14,22 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from math import factorial
+from typing import Callable, Optional
 
 import mpmath
 
-from .hirota import ASMatrix, _build_asms
+from .hirota import ASMatrix, _build_asms, _monotone_rows, _row_sweep
 from .qkz import DyckPath, _check_p, dyck_family
 from .report import VerifyReport
 from .ring import EnumerationBudgetError, RingMatrix, TauPoly, det
 from . import tee as tee_mod
 
 FPL_MAX_L = 8
-VSASM_MAX_SIZE = 9
+VSASM_MAX_SIZE = tee_mod.TEE_MAX_L + 1  # vsasm_genfun; tee(2n, n-1, 2) checks size 2n+1
+VSASM_LIST_MAX_SIZE = 9  # enumerate_vsasm, which only the order and count tests read
 PATHS_MAX_L = tee_mod.TEE_MAX_L  # largest L for lgv_tee and path_count
 SFACTOR_MAX_L = 64
-VSASM_COUNTS = {3: 1, 5: 3, 7: 26, 9: 646}
 
 
 class PoleCollisionError(ValueError):
@@ -176,36 +177,45 @@ def sfactor(L: int, p: int, precision: int = 256) -> mpmath.mpf:
 # ---------------------------------------------------------------------------
 
 
-def _symmetric_rows(size: int, length: int) -> list[tuple[int, ...]]:
-    """Strictly increasing subsets of 1..size, invariant under j -> size+1-j."""
-    out = []
-    for rows in itertools.combinations(range(1, size + 1), length):
-        if all(size + 1 - j in rows for j in rows):
-            out.append(rows)
-    return out
+def _symmetric_next_rows(size: int) -> Callable[[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Interlacing step of vertically symmetric triangles of odd size.
+
+    A row invariant under j -> size+1-j is its left half plus the centre
+    when its length is odd.  The next row's left half interlaces prev's left
+    half below the centre: one entry longer when the centre leaves, and
+    capped by prev's last left entry when the centre enters.  Rows come out
+    in lexicographic order.
+    """
+    half, centre = (size - 1) // 2, (size + 1) // 2
+
+    def next_rows(prev: tuple[int, ...]) -> list[tuple[int, ...]]:
+        left = prev[: len(prev) // 2]
+        if len(prev) % 2:
+            lefts, mid = _monotone_rows(half, left), ()
+        else:
+            lefts, mid = _monotone_rows(left[-1], left[:-1]), (centre,)
+        return [row + mid + tuple(size + 1 - v for v in reversed(row)) for row in lefts]
+
+    return next_rows
+
+
+def _check_vsasm_size(size: int, cap: int, what: str) -> None:
+    if size % 2 == 0:
+        raise ValueError("vertically symmetric matrices have odd size")
+    if size < 1:
+        raise ValueError("size must be positive")
+    if size > cap:
+        raise EnumerationBudgetError(f"{what} budgeted to size <= {cap}")
 
 
 def enumerate_vsasm(size: int) -> list[ASMatrix]:
     """All vertically symmetric alternating sign matrices of odd size."""
-    if size % 2 == 0:
-        raise ValueError("vertically symmetric matrices have odd size")
-    if size > VSASM_MAX_SIZE:
-        raise EnumerationBudgetError(f"symmetric enumeration budgeted to size <= {VSASM_MAX_SIZE}")
-    rows_by_len = {m: _symmetric_rows(size, m) for m in range(1, size + 1)}
-
-    def next_rows(prev: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """Symmetric rows one longer than prev that interlace it."""
-        return [
-            big
-            for big in rows_by_len[len(prev) + 1]
-            if all(big[j] <= prev[j] <= big[j + 1] for j in range(len(prev)))
-        ]
-
-    return _build_asms(size, [((size + 1) // 2,)], next_rows)
+    _check_vsasm_size(size, VSASM_LIST_MAX_SIZE, "symmetric enumeration")
+    return _build_asms(size, [((size + 1) // 2,)], _symmetric_next_rows(size))
 
 
 def vsasm_genfun(size: int) -> TauPoly:
-    """Weighted count of vertically symmetric ASMs.
+    """Weighted count of vertically symmetric ASMs, by a row sweep over their triangles.
 
     The centre column of a size-(2n+1) member alternates and forces n entries
     equal to -1; every further -1 occurs in a mirror pair.  Each such pair
@@ -214,14 +224,27 @@ def vsasm_genfun(size: int) -> TauPoly:
     calibrated so the smallest case has value 1 and the size-5 family gives
     2 + tau^2.
     """
+    _check_vsasm_size(size, VSASM_MAX_SIZE, "symmetric weighted count")
     n = (size - 1) // 2
-    total = TauPoly.zero()
-    for B in enumerate_vsasm(size):
-        extra = B.minus_count() - n
-        if extra % 2:
-            raise AssertionError("off-centre -1 entries must pair up")
-        total = total + TauPoly.monomial(extra)
-    return total
+    by_minus = _row_sweep(size, [((size + 1) // 2,)], _symmetric_next_rows(size), True)
+    if any((minus - n) % 2 for minus in by_minus):
+        raise AssertionError("off-centre -1 entries must pair up")
+    return TauPoly({minus - n: mult for minus, mult in by_minus.items()})
+
+
+def vsasm_product(size: int) -> int:
+    """Kuperberg's product formula for the number of VSASMs of odd size 2n+1.
+
+    prod_{i<n} (3i+2) (6i+3)! (2i+1)! / ((4i+2)! (4i+3)!), computed over the
+    integers; an independent route to ``vsasm_genfun(size).at_tau_one()``.
+    """
+    if size % 2 == 0 or size < 1:
+        raise ValueError("vertically symmetric matrices have odd positive size")
+    num = den = 1
+    for i in range((size - 1) // 2):
+        num *= (3 * i + 2) * factorial(6 * i + 3) * factorial(2 * i + 1)
+        den *= factorial(4 * i + 2) * factorial(4 * i + 3)
+    return num // den
 
 
 # ---------------------------------------------------------------------------

@@ -298,8 +298,8 @@ def tau2_det(matrix: Sequence[Sequence[Value]], tau2: Value) -> Value:
 # alternating sign matrices
 # ---------------------------------------------------------------------------
 
-ASM_MAX_N = 6
-ASM_EXPANSION_MAX_N = 5
+ASM_MAX_N = 13  # asm_count
+ASM_EXPANSION_MAX_N = 5  # asm_expansion and enumerate_asm, its matrix list
 ASM_COUNTS = {1: 1, 2: 2, 3: 7, 4: 42, 5: 429, 6: 7436}
 
 
@@ -341,24 +341,17 @@ class ASMatrix:
 
 
 def _monotone_rows(n: int, prev: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Strictly increasing rows of length len(prev)+1 interlacing prev."""
-    size = len(prev) + 1
-    out: list[tuple[int, ...]] = []
+    """Strictly increasing rows of length len(prev)+1 in 1..n interlacing prev.
 
-    def grow(row: list[int], lo: int):
-        j = len(row)
-        if j == size:
-            out.append(tuple(row))
-            return
-        lower = max(lo, prev[j - 1] if j > 0 else 1)
-        upper = prev[j] if j < size - 1 else n
-        for v in range(lower, upper + 1):
-            row.append(v)
-            grow(row, v + 1)
-            row.pop()
-
-    grow([], 1)
-    return out
+    Entry j lies between prev[j-1] and prev[j] (1 and n at the ends), so
+    neighbours can only collide on a shared prev value.  Rows come out in
+    lexicographic order.
+    """
+    bounds = (1, *prev, n)
+    rows: list[tuple[int, ...]] = [()]
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = [row + (v,) for row in rows for v in range(max(lo, row[-1] + 1) if row else lo, hi + 1)]
+    return rows
 
 
 def _build_asms(
@@ -399,10 +392,52 @@ def _build_asms(
     return results
 
 
+def _row_sweep(
+    size: int,
+    starts: Sequence[tuple[int, ...]],
+    next_rows: Callable[[tuple[int, ...]], list[tuple[int, ...]]],
+    weighted: bool,
+) -> dict[int, int]:
+    """Monotone triangles grown from a start row by next_rows, counted by -1 entries.
+
+    The same triangles as ``_build_asms``, swept one row at a time: a layer
+    maps the current row to a dict from the number of -1 entries so far to
+    multiplicity.  The entries of row k-1 missing from row k are the -1
+    entries of matrix row k, so each step's weight is local.  Unweighted,
+    every triangle is filed under 0.
+    """
+    layer = {start: {0: 1} for start in starts}
+    for _ in range(size - 1):
+        nxt: dict[tuple[int, ...], dict[int, int]] = {}
+        for prev, dist in layer.items():
+            prev_set = set(prev)
+            for row in next_rows(prev):
+                step = len(prev_set.difference(row)) if weighted else 0
+                acc = nxt.setdefault(row, {})
+                for minus, mult in dist.items():
+                    acc[minus + step] = acc.get(minus + step, 0) + mult
+        layer = nxt
+    total: dict[int, int] = {}
+    for dist in layer.values():
+        for minus, mult in dist.items():
+            total[minus] = total.get(minus, 0) + mult
+    return total
+
+
+def asm_count(n: int) -> int:
+    """Number of alternating sign matrices of size n, by a row sweep over monotone triangles."""
+    if n > ASM_MAX_N:
+        raise EnumerationBudgetError(f"ASM count budgeted to n <= {ASM_MAX_N}")
+    if n < 1:
+        raise ValueError("n must be positive")
+    starts = [(start,) for start in range(1, n + 1)]
+    return _row_sweep(n, starts, lambda prev: _monotone_rows(n, prev), False)[0]
+
+
 def enumerate_asm(n: int) -> list[ASMatrix]:
     """All alternating sign matrices of size n by monotone-triangle search."""
-    if n > ASM_MAX_N:
-        raise EnumerationBudgetError(f"ASM enumeration budgeted to n <= {ASM_MAX_N}")
+    if n > ASM_EXPANSION_MAX_N:
+        raise EnumerationBudgetError(f"ASM enumeration budgeted to n <= {ASM_EXPANSION_MAX_N}")
     if n < 1:
         raise ValueError("n must be positive")
     return _build_asms(n, [(start,) for start in range(1, n + 1)], lambda prev: _monotone_rows(n, prev))

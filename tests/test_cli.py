@@ -1,6 +1,10 @@
 """Command-line surface: schemas, exit codes, determinism, budgets."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,8 @@ from dycksum import combin, hirota, qkz, tee
 from dycksum.cli import run
 from dycksum.hirota import EnumerationBudgetError
 from dycksum.ring import TauPoly
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -111,6 +117,33 @@ def test_vsasm_output(capout):
     assert data["terms"] == [[0, "2"], [2, "1"]]
 
 
+def test_asm_output(capout):
+    code, out, _ = capout(["asm", "--size", "7"])
+    assert code == 0
+    assert json.loads(out) == {"class": "asm", "count": 218348, "size": 7}
+    code, out, _ = capout(["asm", "--class", "vsasm", "--size", "11"])
+    assert code == 0
+    assert json.loads(out)["count"] == 45885
+
+
+def test_optimized_interpreter_prints_same_bytes(tmp_path):
+    # -O strips assert statements; the invariant checks are explicit raises
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for argv in (
+        ["asm", "--class", "vsasm", "--size", "9"],
+        ["verify", "--suite", "prop4", "--max-L", "10"],
+    ):
+        outs = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "dycksum.cli", *argv],
+                capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+            )
+            assert proc.returncode == 0, (flags, argv, proc.stderr)
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and outs[0], argv
+
+
 def test_sfactor_output(capout):
     code, out, _ = capout(["sfactor", "--L", "12", "--p", "3", "--bits", "256"])
     assert code == 0
@@ -156,8 +189,8 @@ def test_exit_codes(tmp_path, capout):
         ["hirota", "--input", str(big), "--tau2", "-1"],
         ["lgv", "--method", "paths", "--L", "21", "--p", "1", "--k", "0"],
         ["lgv", "--L", "21", "--p", "1", "--k", "0"],
-        ["asm", "--size", "7"],
-        ["asm", "--class", "vsasm", "--size", "11"],
+        ["asm", "--size", str(hirota.ASM_MAX_N + 1)],
+        ["asm", "--class", "vsasm", "--size", str(combin.VSASM_MAX_SIZE + 2)],
         ["fpl", "--L", "9"],
         ["sfactor", "--L", "65", "--p", "0"],
         ["verify", "--suite", "ring", "--max-L", "13"],
@@ -177,6 +210,14 @@ def test_exit_codes(tmp_path, capout):
     ):
         code, out, err = capout(argv)
         assert code == 2 and out == "" and "zero denominator" in err, argv
+    # a size below 1 is bad input for both classes
+    for argv in (
+        ["asm", "--size", "0"],
+        ["asm", "--class", "vsasm", "--size", "-1"],
+        ["asm", "--class", "vsasm", "--size", "-3"],
+    ):
+        code, out, err = capout(argv)
+        assert code == 2 and out == "" and "must be positive" in err, argv
     # p outside 0..(L-1)//2 has no restricted family
     for p in ("9", "-1", "4"):
         code, out, err = capout(["fpl", "--L", "8", "--p", p])
@@ -222,11 +263,13 @@ def test_library_budgets():
         lambda: tee.tee_via_U(tee.TEE_MAX_L + 1, 0, 1),
         lambda: tee.verify_lemma2(tee.LEMMA2_MAX_P + 1),
         lambda: hirota.tau2_det([[1] * 13] * (hirota.TAU2_DET_MAX_N + 1), -1),
-        lambda: hirota.enumerate_asm(hirota.ASM_MAX_N + 1),
+        lambda: hirota.asm_count(hirota.ASM_MAX_N + 1),
+        lambda: hirota.enumerate_asm(hirota.ASM_EXPANSION_MAX_N + 1),
         lambda: hirota.asm_expansion([[1] * 6] * (hirota.ASM_EXPANSION_MAX_N + 1), 1),
         lambda: combin.path_count(combin.PATHS_MAX_L + 1, 1, 0),
         lambda: combin.lgv_tee(combin.PATHS_MAX_L + 1, 0, 1),
-        lambda: combin.enumerate_vsasm(combin.VSASM_MAX_SIZE + 2),
+        lambda: combin.vsasm_genfun(combin.VSASM_MAX_SIZE + 2),
+        lambda: combin.enumerate_vsasm(combin.VSASM_LIST_MAX_SIZE + 2),
         lambda: combin.enumerate_fpl(combin.FPL_MAX_L + 1),
         lambda: combin.sfactor(combin.SFACTOR_MAX_L + 1, 0),
     ]

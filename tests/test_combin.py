@@ -10,7 +10,8 @@ import pytest
 from dycksum.combin import (
     FPL_MAX_L,
     PATHS_MAX_L,
-    VSASM_COUNTS,
+    VSASM_LIST_MAX_SIZE,
+    VSASM_MAX_SIZE,
     LinkPattern,
     PoleCollisionError,
     YoungTableau,
@@ -30,6 +31,7 @@ from dycksum.combin import (
     tableau_to_dyck,
     tableau_to_link,
     vsasm_genfun,
+    vsasm_product,
 )
 from dycksum.hirota import EnumerationBudgetError
 from dycksum.qkz import DyckPath, dyck_family, enumerate_dyck, partial_sum, solve_psi
@@ -128,6 +130,9 @@ def test_sfactor_guards():
 # ---------------------------------------------------------------------------
 
 
+VSASM_COUNTS = {3: 1, 5: 3, 7: 26, 9: 646}
+
+
 def test_vsasm_counts():
     for size, count in VSASM_COUNTS.items():
         members = enumerate_vsasm(size)
@@ -139,7 +144,12 @@ def test_vsasm_counts():
 
 def test_vsasm_enumeration_order():
     # sha256 prefixes of the concatenated row reprs: the order is fixed
-    expected = {3: "3fcc0f974ffeb521", 5: "cfb0e1555efd7c45", 7: "60d56171da1608a5"}
+    expected = {
+        3: "3fcc0f974ffeb521",
+        5: "cfb0e1555efd7c45",
+        7: "60d56171da1608a5",
+        9: "d8bad69491561b9c",
+    }
     for size, digest in expected.items():
         h = hashlib.sha256()
         for B in enumerate_vsasm(size):
@@ -153,17 +163,50 @@ def test_vsasm_size_three_is_forced():
 
 
 def test_vsasm_genfun_fixtures():
-    assert vsasm_genfun(3) == TauPoly.one()
+    assert vsasm_genfun(1) == vsasm_genfun(3) == TauPoly.one()
     assert vsasm_genfun(5) == TauPoly({0: 2, 2: 1})
     for n in (1, 2, 3, 4):
         assert vsasm_genfun(2 * n + 1) == tee(2 * n, n - 1, 2), n
 
 
+def test_vsasm_genfun_sweep_matches_enumeration():
+    for size in range(1, VSASM_LIST_MAX_SIZE + 1, 2):
+        n = (size - 1) // 2
+        members = enumerate_vsasm(size)
+        weighted = TauPoly.zero()
+        for B in members:
+            weighted = weighted + TauPoly.monomial(B.minus_count() - n)
+        assert vsasm_genfun(size) == weighted, size
+        assert vsasm_product(size) == len(members) == VSASM_COUNTS.get(size, 1), size
+
+
+def test_vsasm_genfun_beyond_enumeration():
+    # tee(2n, n-1, 2) and Kuperberg's product up to the cap (size 21, 0.4 s)
+    for size in range(VSASM_LIST_MAX_SIZE + 2, VSASM_MAX_SIZE + 1, 2):
+        n = (size - 1) // 2
+        weighted = vsasm_genfun(size)
+        assert weighted == tee(2 * n, n - 1, 2), size
+        assert weighted.at_tau_one() == vsasm_product(size), size
+    assert vsasm_product(11) == 45885
+
+
 def test_vsasm_guards():
-    with pytest.raises(ValueError):
-        enumerate_vsasm(4)
+    for size in (4, 0, -2):
+        with pytest.raises(ValueError, match="odd size"):
+            enumerate_vsasm(size)
+        with pytest.raises(ValueError, match="odd size"):
+            vsasm_genfun(size)
+    for size in (-1, -3):
+        with pytest.raises(ValueError, match="positive"):
+            enumerate_vsasm(size)
+        with pytest.raises(ValueError, match="positive"):
+            vsasm_genfun(size)
+        with pytest.raises(ValueError, match="positive"):
+            vsasm_product(size)
     with pytest.raises(EnumerationBudgetError):
-        enumerate_vsasm(11)
+        enumerate_vsasm(VSASM_LIST_MAX_SIZE + 2)
+    with pytest.raises(EnumerationBudgetError):
+        vsasm_genfun(VSASM_MAX_SIZE + 2)
 
 
 def test_symmetry_class_identities():

@@ -1,6 +1,7 @@
 """Octahedron recurrence, deformed determinants, ASM enumeration."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from dycksum.hirota import (
     DegenerateDivisionError,
     EnumerationBudgetError,
     ExpansionPoleError,
+    asm_count,
     asm_expansion,
     enumerate_asm,
     oct_init,
@@ -242,7 +244,7 @@ def test_asm_counts_and_validity():
         assert len(asms) == count
         assert len({a.rows for a in asms}) == count
     with pytest.raises(EnumerationBudgetError):
-        enumerate_asm(7)
+        enumerate_asm(hirota.ASM_EXPANSION_MAX_N + 1)
 
 
 def test_asm_expansion_enumerates_once_per_n(monkeypatch):
@@ -264,7 +266,31 @@ def test_asm_expansion_enumerates_once_per_n(monkeypatch):
 
 
 def test_asm_count_six():
-    assert len(enumerate_asm(6)) == 7436
+    assert asm_count(6) == 7436
+
+
+def _asm_product(n):
+    num = den = 1
+    for j in range(n):
+        num *= math.factorial(3 * j + 1)
+        den *= math.factorial(n + j)
+    assert num % den == 0
+    return num // den
+
+
+def test_asm_count_sweep():
+    # the sweep against the matrix list where it is enumerable, and against
+    # prod (3j+1)!/(n+j)! beyond; n = 12, 13 take 0.6 s and 1.8 s
+    for n in range(1, hirota.ASM_EXPANSION_MAX_N + 1):
+        assert asm_count(n) == len(enumerate_asm(n)) == ASM_COUNTS[n] == _asm_product(n), n
+    assert [_asm_product(n) for n in (6, 7)] == [ASM_COUNTS[6], 218348]
+    for n in range(6, 12):
+        assert asm_count(n) == _asm_product(n), n
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="positive"):
+            asm_count(n)
+    with pytest.raises(EnumerationBudgetError):
+        asm_count(hirota.ASM_MAX_N + 1)
 
 
 def test_asm_enumeration_order():
